@@ -20,7 +20,9 @@ byte never hides the rest of the file.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 class CTokenKind(enum.Enum):
@@ -55,7 +57,7 @@ _PUNCTUATION = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CToken:
     kind: CTokenKind
     text: str
@@ -120,6 +122,76 @@ class ParseDiagnostic:
         return f"{self.file}:{self.line}:{self.column}: {self.severity}: {self.describe()}"
 
 
+_ASCII = "".join(map(chr, range(128)))
+
+
+def _char_class(accepts, alphabet: str) -> str:
+    """The regex character class of the characters in ``alphabet`` that
+    ``accepts``."""
+    return "[" + "".join(re.escape(c) for c in alphabet if accepts(c)) + "]"
+
+
+@lru_cache(maxsize=32)
+def _scanner(extra: str, recover: bool) -> re.Pattern[str]:
+    """The scanner's one pattern, for sources whose non-ASCII characters
+    are ``extra``.
+
+    A match is a run of whitespace, comments and line continuations,
+    then one named alternative per lexeme, in the order the grammar
+    gives them priority; ``bad`` takes a character no rule accepts and
+    ``eof`` the end of input.  The identifier and number classes are
+    the grammar's own ``str`` predicates (``isalpha``, ``isalnum``,
+    ``isdigit``) evaluated over ASCII plus ``extra``, so the Unicode
+    rules hold exactly without tabulating all of Unicode.  ``recover``
+    ends string and character literals at a newline.
+    """
+    alphabet = _ASCII + extra
+    start = _char_class(lambda c: c.isalpha() or c == "_", alphabet)
+    cont = _char_class(lambda c: c.isalnum() or c == "_", alphabet)
+    digit = _char_class(str.isdigit, alphabet)
+    hexd = _char_class(lambda c: c.isdigit() or c.lower() in "abcdef", alphabet)
+    stop = r"\n" if recover else ""
+    punct = "|".join(map(re.escape, _PUNCTUATION))
+    return re.compile(
+        rf"""(?:[ \t\r\n]+|\\\n|//[^\n]*|/\*.*?\*/)*
+        (?:(?P<ident>{start}{cont}*)
+        # an int is a maximal digit run with no '.', exponent or f suffix
+        |(?P<int>0[xX]{hexd}*(?!{hexd})[uUlL]*(?![uUlLfF])
+            |(?!0[xX]){digit}+(?![.eE]|{digit})[uUlL]*(?![uUlLfF]))
+        |(?P<float>0[xX]{hexd}*[uUlLfF]*
+            |(?:{digit}+(?:\.{digit}*)?|\.{digit}+)(?:[eE][+-]?{digit}*)?[uUlLfF]*)
+        |(?P<char>'(?:\\.|[^'\\{stop}])*')
+        |(?P<string>"(?:\\.|[^"\\{stop}])*")
+        |(?P<open_comment>/\*)
+        |(?P<punct>{punct})
+        |(?P<open_char>'(?:\\.|[^'\\{stop}])*)
+        |(?P<open_string>"(?:\\.|[^"\\{stop}])*)
+        |(?P<hash>\#)
+        |(?P<bad>.)
+        |(?P<eof>\Z))""",
+        re.DOTALL | re.VERBOSE,
+    )
+
+
+#: A preprocessor directive: the rest of its logical line.
+_DIRECTIVE = re.compile(r"#(?:\\\n|[^\n])*")
+
+_TOKEN_KINDS = {
+    "ident": CTokenKind.IDENT,
+    "int": CTokenKind.INT_CONST,
+    "float": CTokenKind.FLOAT_CONST,
+    "char": CTokenKind.CHAR_CONST,
+    "string": CTokenKind.STRING,
+    "punct": CTokenKind.PUNCT,
+}
+
+_UNTERMINATED = {
+    "open_comment": "unterminated comment",
+    "open_char": "unterminated character constant",
+    "open_string": "unterminated string literal",
+}
+
+
 def tokenize_c(
     source: str,
     filename: str = "<input>",
@@ -133,158 +205,58 @@ def tokenize_c(
     :class:`ParseDiagnostic` records and scanning continues past them;
     the strict default raises :class:`CLexError` exactly as before.
     """
+    extra = "" if source.isascii() else "".join(sorted(set(source) - set(_ASCII)))
+    match = _scanner(extra, recover).match
+    ident, keyword = CTokenKind.IDENT, CTokenKind.KEYWORD
+    string, char = CTokenKind.STRING, CTokenKind.CHAR_CONST
     tokens: list[CToken] = []
-    i = 0
+    append = tokens.append
     n = len(source)
-    line, col = 1, 1
+    pos = 0
+    line, line_start = 1, 0  # line_start: offset of the current line's first char
+    overshoot = 0  # a lone trailing backslash the literal scan steps past
 
-    def problem(message: str, at_line: int, at_col: int) -> None:
-        if not recover:
-            raise CLexError(message, at_line, at_col)
-        if diagnostics is not None:
-            diagnostics.append(
-                ParseDiagnostic(
-                    file=filename,
-                    line=at_line,
-                    column=at_col,
-                    message=message,
-                    stage="lex",
-                )
-            )
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def at_line_start() -> bool:
-        j = i - 1
-        while j >= 0 and source[j] in " \t":
-            j -= 1
-        return j < 0 or source[j] == "\n"
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "\\" and i + 1 < n and source[i + 1] == "\n":
-            advance(2)
-            continue
-        if ch == "#" and at_line_start():
-            # Preprocessor directive: skip to end of (logical) line.
-            while i < n and source[i] != "\n":
-                if source[i] == "\\" and i + 1 < n and source[i + 1] == "\n":
-                    advance(2)
-                    continue
-                advance(1)
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            start_line, start_col = line, col
-            advance(2)
-            while i + 1 < n and not (source[i] == "*" and source[i + 1] == "/"):
-                advance(1)
-            if i + 1 >= n:
-                problem("unterminated comment", start_line, start_col)
-                advance(n - i)  # recovery: the comment swallows the tail
+    while True:
+        m = match(source, pos)
+        group = m.lastgroup
+        start, end = m.span(group)
+        if start != pos:  # comments and whitespace before the lexeme
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, start) + 1
+        kind = _TOKEN_KINDS.get(group)
+        if kind is not None:
+            text = source[start:end]
+            if kind is ident and text in C_KEYWORDS:
+                kind = keyword
+            append(CToken(kind, text, line, start - line_start + 1))
+            if kind is not string and kind is not char:  # one-line lexemes
+                pos = end
                 continue
-            advance(2)
-            continue
-
-        tok_line, tok_col = line, col
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = CTokenKind.KEYWORD if text in C_KEYWORDS else CTokenKind.IDENT
-            tokens.append(CToken(kind, text, tok_line, tok_col))
-            advance(j - i)
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            if source[j] == "0" and j + 1 < n and source[j + 1] in "xX":
-                j += 2
-                while j < n and (source[j].isdigit() or source[j].lower() in "abcdef"):
-                    j += 1
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-                if j < n and source[j] == ".":
-                    is_float = True
-                    j += 1
-                    while j < n and source[j].isdigit():
-                        j += 1
-                if j < n and source[j] in "eE":
-                    is_float = True
-                    j += 1
-                    if j < n and source[j] in "+-":
-                        j += 1
-                    while j < n and source[j].isdigit():
-                        j += 1
-            # integer/float suffixes
-            while j < n and source[j] in "uUlLfF":
-                if source[j] in "fF":
-                    is_float = True
-                j += 1
-            text = source[i:j]
-            kind = CTokenKind.FLOAT_CONST if is_float else CTokenKind.INT_CONST
-            tokens.append(CToken(kind, text, tok_line, tok_col))
-            advance(j - i)
-            continue
-
-        if ch == "'":
-            j = i + 1
-            while j < n and source[j] != "'" and not (recover and source[j] == "\n"):
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n or source[j] != "'":
-                problem("unterminated character constant", tok_line, tok_col)
-                advance(j - i)  # recovery: drop the open fragment
-                continue
-            text = source[i : j + 1]
-            tokens.append(CToken(CTokenKind.CHAR_CONST, text, tok_line, tok_col))
-            advance(j + 1 - i)
-            continue
-
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"' and not (recover and source[j] == "\n"):
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n or source[j] != '"':
-                problem("unterminated string literal", tok_line, tok_col)
-                advance(j - i)  # recovery: drop the open fragment
-                continue
-            text = source[i : j + 1]
-            tokens.append(CToken(CTokenKind.STRING, text, tok_line, tok_col))
-            advance(j + 1 - i)
-            continue
-
-        for punct in _PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(CToken(CTokenKind.PUNCT, punct, tok_line, tok_col))
-                advance(len(punct))
-                break
+        elif group == "eof":
+            break
+        elif group == "hash" and not source[line_start:start].strip(" \t"):
+            end = _DIRECTIVE.match(source, start).end()  # a directive line
         else:
-            problem(f"unexpected character {ch!r}", tok_line, tok_col)
-            advance(1)  # recovery: skip the stray byte
+            col = start - line_start + 1
+            message = _UNTERMINATED.get(group, f"unexpected character {source[start]!r}")
+            if not recover:
+                raise CLexError(message, line, col)
+            if diagnostics is not None:
+                diagnostics.append(ParseDiagnostic(filename, line, col, message, "lex"))
+            if group == "open_comment":
+                end = n  # the comment swallows the tail
+            elif group in _UNTERMINATED and source[end:] == "\\":
+                end, overshoot = n, 1
+        # a literal, a directive or a dropped fragment may span lines
+        newlines = source.count("\n", start, end)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", start, end) + 1
+        pos = end
 
-    tokens.append(CToken(CTokenKind.EOF, "", line, col))
+    tokens.append(CToken(CTokenKind.EOF, "", line, n - line_start + 1 + overshoot))
     return tokens
 
 

@@ -112,6 +112,21 @@ _STORAGE_KEYWORDS = frozenset({"typedef", "extern", "static", "auto", "register"
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "<<=", ">>="})
 
+#: Binary operators, loosest first; an operator's level is its index.
+_BINARY_LEVELS: tuple[frozenset[str], ...] = (
+    frozenset({"||"}),
+    frozenset({"&&"}),
+    frozenset({"|"}),
+    frozenset({"^"}),
+    frozenset({"&"}),
+    frozenset({"==", "!="}),
+    frozenset({"<", ">", "<=", ">="}),
+    frozenset({"<<", ">>"}),
+    frozenset({"+", "-"}),
+    frozenset({"*", "/", "%"}),
+)
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 
 class _CParser:
     def __init__(
@@ -121,7 +136,9 @@ class _CParser:
         recover: bool = False,
         diagnostics: list[ParseDiagnostic] | None = None,
     ):
-        self.tokens = tokens
+        # One extra EOF: lookahead is at most one token, so ``peek`` is a
+        # plain index even at the end of the stream.
+        self.tokens = tokens + tokens[-1:]
         self.pos = 0
         self.filename = filename
         self.typedefs: dict[str, CType] = {}
@@ -137,8 +154,7 @@ class _CParser:
 
     # -- token plumbing -------------------------------------------------
     def peek(self, ahead: int = 0) -> CToken:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> CToken:
         tok = self.tokens[self.pos]
@@ -147,8 +163,8 @@ class _CParser:
         return tok
 
     def at_punct(self, text: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind is CTokenKind.PUNCT and tok.text == text
+        # Only punctuator tokens spell punctuation, so the text decides.
+        return self.tokens[self.pos + ahead].text == text
 
     def at_keyword(self, *words: str) -> bool:
         tok = self.peek()
@@ -821,29 +837,20 @@ class _CParser:
             return Conditional(cond, then, other, line=op.line, col=op.column)
         return cond
 
-    _BINARY_LEVELS: list[frozenset[str]] = [
-        frozenset({"||"}),
-        frozenset({"&&"}),
-        frozenset({"|"}),
-        frozenset({"^"}),
-        frozenset({"&"}),
-        frozenset({"==", "!="}),
-        frozenset({"<", ">", "<=", ">="}),
-        frozenset({"<<", ">>"}),
-        frozenset({"+", "-"}),
-        frozenset({"*", "/", "%"}),
-    ]
-
-    def parse_binary(self, level: int) -> CExpr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_cast_expr()
-        left = self.parse_binary(level + 1)
-        ops = self._BINARY_LEVELS[level]
-        while self.peek().kind is CTokenKind.PUNCT and self.peek().text in ops:
-            tok = self.advance()
+    def parse_binary(self, min_level: int) -> CExpr:
+        """Precedence climbing over :data:`_BINARY_LEVEL`: fold in every
+        operator binding at least as tight as ``min_level``; the right
+        operand only takes tighter ones, so equal levels associate left."""
+        left = self.parse_cast_expr()
+        while True:
+            tok = self.peek()
+            # only punctuators spell operators, so the text decides
+            level = _BINARY_LEVEL.get(tok.text, -1)
+            if level < min_level:
+                return left
+            self.advance()
             right = self.parse_binary(level + 1)
             left = Binary(tok.text, left, right, line=tok.line, col=tok.column)
-        return left
 
     def parse_cast_expr(self) -> CExpr:
         if self.at_punct("(") and self.at_type_start(1):
@@ -880,12 +887,13 @@ class _CParser:
         expr = self.parse_primary()
         while True:
             tok = self.peek()
-            if self.at_punct("["):
+            text = tok.text
+            if text == "[":
                 self.advance()
                 index = self.parse_expression()
                 self.expect_punct("]")
                 expr = Index(expr, index, line=tok.line, col=tok.column)
-            elif self.at_punct("("):
+            elif text == "(":
                 self.advance()
                 args: list[CExpr] = []
                 if not self.at_punct(")"):
@@ -895,17 +903,13 @@ class _CParser:
                             break
                 self.expect_punct(")")
                 expr = Call(expr, tuple(args), line=tok.line, col=tok.column)
-            elif self.at_punct("."):
+            elif text == "." or text == "->":
                 self.advance()
                 field_name = self.expect_ident().text
-                expr = Member(expr, field_name, False, line=tok.line, col=tok.column)
-            elif self.at_punct("->"):
+                expr = Member(expr, field_name, text == "->", line=tok.line, col=tok.column)
+            elif text == "++" or text == "--":
                 self.advance()
-                field_name = self.expect_ident().text
-                expr = Member(expr, field_name, True, line=tok.line, col=tok.column)
-            elif self.at_punct("++") or self.at_punct("--"):
-                op = self.advance()
-                expr = Unary(op.text, expr, postfix=True, line=op.line, col=op.column)
+                expr = Unary(text, expr, postfix=True, line=tok.line, col=tok.column)
             else:
                 return expr
 

@@ -248,6 +248,12 @@ def _resolve_include(
     return None, None
 
 
+def is_directive_free(source: str) -> bool:
+    """True when :func:`preprocess` returns ``source`` untouched (its
+    identity fast path): the text has no ``#`` at all."""
+    return "#" not in source
+
+
 def preprocess(
     source: str,
     filename: str = "<input>",
@@ -265,7 +271,7 @@ def preprocess(
     becomes a ``stage="cpp"`` :class:`ParseDiagnostic`.
     """
     top_level = _stack is None
-    if top_level and "#" not in source:
+    if top_level and is_directive_free(source):
         # Clean-corpus fast path: nothing to do, identity by construction.
         return PreprocessResult(source, None)
 

@@ -34,6 +34,7 @@ least solution does not exist).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..cfront import cast as ast
 from ..cfront.cast import CastClass, classify_cast
@@ -549,9 +550,14 @@ def check_source(
     source: str,
     filename: str = "<input>",
     checks: tuple[QualifierCheck, ...] = DEFAULT_CHECKS,
+    parse_unit: Callable[[str, str], object] | None = None,
 ) -> list[Diagnostic]:
-    """Parse one C translation unit and run the checks over it."""
-    program = Program.from_source(source, filename=filename)
+    """Parse one C translation unit and run the checks over it.
+    ``parse_unit(filename, source)``, when given, replaces the parser."""
+    if parse_unit is None:
+        program = Program.from_source(source, filename=filename)
+    else:
+        program = Program.from_units([parse_unit(filename, source)])
     return check_program(program, checks)
 
 

@@ -142,11 +142,14 @@ def check_one_source(
     cache: AnalysisCache | None,
     best_effort: bool = False,
     include_paths: tuple[str, ...] = (),
+    parse_unit: Callable[[str, str], object] | None = None,
 ) -> tuple[list[Diagnostic], str | None, bool, str, int]:
     """Check one unit's text: the shared per-file core of the batch
     runner and the ``repro.serve`` daemon.  Returns (diagnostics —
     fingerprinted and suppression-marked, error, from_cache, status,
-    analysed-function count).
+    analysed-function count).  ``parse_unit`` replaces the strict
+    parser (best-effort mode keeps its own), as in
+    :func:`check_whole_program`.
 
     Strict mode (the default) raises nothing but reports a parse/sema
     failure as ``error`` with no diagnostics — the seed behaviour.
@@ -185,7 +188,9 @@ def check_one_source(
         )
     else:
         try:
-            diagnostics = check_source(source, filename=path_text, checks=checks)
+            diagnostics = check_source(
+                source, filename=path_text, checks=checks, parse_unit=parse_unit
+            )
         except Exception as exc:  # a bad input file must not kill the batch
             return [], f"{type(exc).__name__}: {exc}", False, "skipped", 0
 
@@ -237,6 +242,7 @@ def check_paths(
     cache: AnalysisCache | None = None,
     best_effort: bool = False,
     include_paths: Sequence[str] = (),
+    parse_unit: Callable[[str, str], object] | None = None,
 ) -> CheckerReport:
     """Check every ``.c`` file reachable from ``paths``.
 
@@ -246,7 +252,10 @@ def check_paths(
     :class:`AnalysisCache` handle — its in-memory tier then persists
     across calls — and takes precedence over ``cache_dir``; both the
     overlay and a shared handle imply the serial path (the handle's
-    memory tier cannot span processes).
+    memory tier cannot span processes).  ``parse_unit`` — a ``(name,
+    text) -> TranslationUnit`` callable, strict mode only — replaces the
+    stock parser so a resident parse memo can serve the unit a cache
+    miss re-analyses; it implies the serial path too.
 
     ``best_effort`` turns on resilient ingestion: the preprocessor runs
     (``include_paths`` searched for ``#include``), parse errors recover
@@ -263,7 +272,13 @@ def check_paths(
     include_tuple = tuple(str(p) for p in include_paths)
 
     report = CheckerReport(files=[str(f) for f in files])
-    if jobs > 1 and len(files) > 1 and sources is None and cache is None:
+    if (
+        jobs > 1
+        and len(files) > 1
+        and sources is None
+        and cache is None
+        and parse_unit is None
+    ):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(
@@ -291,7 +306,13 @@ def check_paths(
             else:
                 source = overlay
             diagnostics, error, from_cache, status, functions = check_one_source(
-                source, path_text, check_names, cache, best_effort, include_tuple
+                source,
+                path_text,
+                check_names,
+                cache,
+                best_effort,
+                include_tuple,
+                parse_unit,
             )
             results.append(
                 (path_text, diagnostics, error, from_cache, status, functions)
@@ -364,6 +385,7 @@ def analyze(
         cache=cache,
         best_effort=best_effort,
         include_paths=include_paths,
+        parse_unit=parse_unit,
     )
 
 

@@ -32,11 +32,11 @@ import time
 from typing import Any
 
 from ..cfront.cparser import parse_c, parse_c_resilient
+from ..cfront.cpp import is_directive_free
 from ..checker.checks import DEFAULT_CHECKS, check_by_name
 from ..checker.render import render_report
 from ..checker.runner import analyze as run_analysis
 from ..constinfer.cache import AnalysisCache
-from ..constinfer.engine import StageTimings
 from ..whole.engine import affected_units, closure_digests, tu_dependence_graph
 from ..whole.linker import link_units
 from .protocol import InvalidParams
@@ -47,6 +47,10 @@ from .protocol import InvalidParams
 SERVE_MEMORY_ENTRIES = 4096
 
 _FORMATS = ("human", "json", "sarif")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class Session:
@@ -112,7 +116,7 @@ class Session:
         The memo key is the text digest, so a ``didChange`` invalidates
         it implicitly — no explicit eviction to get wrong.
         """
-        digest = hashlib.sha256(text.encode()).hexdigest()
+        digest = _digest(text)
         memo = self._parse_memo.get(name)
         if memo is not None and memo[0] == digest:
             self._memo_hits += 1
@@ -128,7 +132,7 @@ class Session:
         """Resilient parse through the memo: returns the
         :class:`~repro.cfront.cparser.ParseResult` for this exact text,
         parsing at most once per (path, digest)."""
-        digest = hashlib.sha256(text.encode()).hexdigest()
+        digest = _digest(text)
         memo = self._resilient_memo.get(name)
         if memo is not None and memo[0] == digest and memo[1] == self._include_paths:
             self._memo_hits += 1
@@ -183,9 +187,11 @@ class Session:
         if src_root is not None and not isinstance(src_root, str):
             raise InvalidParams("'src_root' must be a string")
 
-        parse_unit = None
-        if whole:
-            parse_unit = self.parse_unit_resilient if best_effort else self.parse_unit
+        if best_effort:
+            parse_unit = self.parse_unit_resilient if whole else None
+        else:
+            parse_unit = self.parse_unit
+        parse_before = self._parse_seconds
         start = time.perf_counter()
         report = run_analysis(
             paths,
@@ -207,8 +213,7 @@ class Session:
             src_root=src_root,
         )
         end = time.perf_counter()
-        self._analyze_seconds += analyzed - start
-        self._render_seconds += end - analyzed
+        self._charge(parse_before, start, analyzed, end)
         self._last_analyze_seconds = end - start
 
         if whole:
@@ -286,6 +291,7 @@ class Session:
         # remembered -I paths; keep the memo keys consistent with them.
         self._include_paths = tuple(include_paths)
 
+        parse_before = self._parse_seconds
         start = time.perf_counter()
         files = [str(p) for p in discover_files(paths)]
         suggestions = []
@@ -325,8 +331,7 @@ class Session:
         else:
             rendered = render_suggestions_human(suggestions)
         end = time.perf_counter()
-        self._analyze_seconds += analyzed - start
-        self._render_seconds += end - analyzed
+        self._charge(parse_before, start, analyzed, end)
         return {
             "report": rendered,
             "format": fmt,
@@ -375,6 +380,10 @@ class Session:
             # state survives mid-typing syntax errors.  Clean edits add no
             # keys — the existing golden transcripts stay byte-stable.
             result = self.parse_unit_resilient(file, text)
+            if not result.diagnostics and is_directive_free(text):
+                # Without directives or diagnostics the resilient parse is
+                # the strict one, so the next analyze need not parse again.
+                self._parse_memo[file] = (_digest(text), result.unit)
             errors = result.errors
             if errors:
                 out["parse_diagnostics"] = [
@@ -392,14 +401,14 @@ class Session:
 
     def stats(self, params: dict[str, Any]) -> dict[str, Any]:
         """Counters and resident-state shape: cache tiers, memo sizes,
-        request counts, and the accumulated stage timings."""
-        timings = StageTimings(
-            parse_seconds=self._parse_seconds,
-            congen_seconds=self._analyze_seconds - self._parse_seconds
-            if self._analyze_seconds > self._parse_seconds
-            else 0.0,
-            solve_seconds=self._render_seconds,
-        )
+        request counts, and the accumulated stage timings — parse (every
+        parse through the session's memos), analyze (the rest of each
+        analysis) and render, which are disjoint."""
+        totals_ms = {
+            "parse": round(self._parse_seconds * 1000, 3),
+            "analyze": round(self._analyze_seconds * 1000, 3),
+            "render": round(self._render_seconds * 1000, 3),
+        }
         cache = self.cache.stats
         return {
             "uptime_ms": round((time.monotonic() - self.started) * 1000, 1),
@@ -425,16 +434,23 @@ class Session:
                     len(self._whole_plan[2]) if self._whole_plan else 0
                 ),
             },
-            "stage_totals_ms": {
-                "parse": round(self._parse_seconds * 1000, 3),
-                "analyze": round(self._analyze_seconds * 1000, 3),
-                "render": round(self._render_seconds * 1000, 3),
-            },
-            "stage_timings": timings.summary(),
+            "stage_totals_ms": totals_ms,
+            "stage_timings": ", ".join(
+                f"{stage} {ms:.1f} ms" for stage, ms in totals_ms.items()
+            ),
             "last_analyze_ms": round(self._last_analyze_seconds * 1000, 3),
         }
 
     # -- internals ------------------------------------------------------
+    def _charge(
+        self, parse_before: float, start: float, analyzed: float, end: float
+    ) -> None:
+        """Split one request's wall time into analysis and render.  Memo
+        parses inside the analysis were already charged to parse, so the
+        three stage totals are disjoint."""
+        self._analyze_seconds += analyzed - start - (self._parse_seconds - parse_before)
+        self._render_seconds += end - analyzed
+
     def _render_sources(self, files: list[str]) -> dict[str, str]:
         """Source text for human-format excerpts: the session's view —
         overlay first, then disk (matching what was analysed)."""

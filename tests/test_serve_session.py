@@ -4,10 +4,12 @@ overlay-only buffers, warm-path counters, whole-program invalidation
 reporting, and ``stats`` bookkeeping."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.cfront.cparser import parse_c
 from repro.serve import InvalidParams, Server, Session
 
 CLEAN = (
@@ -150,7 +152,74 @@ def test_stats_bookkeeping(session, corpus):
     assert stats["uptime_ms"] >= 0
     assert stats["checks"]
     assert set(stats["stage_totals_ms"]) == {"parse", "analyze", "render"}
-    assert "congen" in stats["stage_timings"]
+    stages = [part.split()[0] for part in stats["stage_timings"].split(", ")]
+    assert stages == ["parse", "analyze", "render"]
+
+
+def test_stats_report_render_time_as_render(session, corpus, monkeypatch):
+    import repro.serve.session as session_module
+
+    real_render = session_module.render_report
+
+    def slow_render(*args, **kwargs):
+        time.sleep(0.3)
+        return real_render(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "render_report", slow_render)
+    session.analyze({"paths": [str(corpus / "src")]})
+    stats = session.stats({})
+    totals = stats["stage_totals_ms"]
+    assert totals["render"] >= 300
+    assert totals["render"] > totals["parse"] + totals["analyze"]
+    assert f"render {totals['render']:.1f} ms" in stats["stage_timings"]
+    assert "solve" not in stats["stage_timings"]
+    assert "congen" not in stats["stage_timings"]
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    """Record every parse, strict or resilient, by whatever path: both
+    parsers lex through the parser module's ``tokenize_c``."""
+    import repro.cfront.cparser as cparser_module
+
+    calls: list[str] = []
+    real = cparser_module.tokenize_c
+
+    def counted(*args, **kwargs):
+        calls.append("resilient" if kwargs.get("recover") else "strict")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cparser_module, "tokenize_c", counted)
+    return calls
+
+
+def test_edit_parses_the_edited_unit_once(session, corpus, monkeypatch):
+    target = str(corpus / "src" / "greet.c")
+    session.analyze({"paths": [str(corpus / "src")]})
+    calls = _count_parses(monkeypatch)
+    session.did_change({"file": target, "text": TAINTED})
+    edited = session.analyze({"paths": [str(corpus / "src")]})
+    # the didChange probe's parse serves the analysis too
+    assert calls == ["resilient"]
+    assert [d["check"] for d in findings(edited)] == ["tainted-format"]
+    assert repr(session.parse_unit(target, TAINTED)) == repr(parse_c(TAINTED, target))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "#define GREETING 1\n" + TAINTED,  # the preprocessor rewrites the text
+        TAINTED + "int broken(;\n",  # recovery changes the unit
+    ],
+)
+def test_edit_probe_seeds_no_unit_a_strict_parse_could_differ_from(
+    session, corpus, monkeypatch, text
+):
+    target = str(corpus / "src" / "greet.c")
+    session.analyze({"paths": [str(corpus / "src")]})
+    calls = _count_parses(monkeypatch)
+    session.did_change({"file": target, "text": text})
+    session.analyze({"paths": [str(corpus / "src")]})
+    assert calls == ["resilient", "strict"]
 
 
 def test_analyze_param_validation(session):
