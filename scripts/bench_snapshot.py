@@ -529,7 +529,7 @@ def measure_suite() -> dict:
 
     out["serial"] = round(best_of(benchmark_rows, specs, repeats=3) * 1000, 2)
     out["parallel_jobs4"] = round(
-        best_of(lambda: benchmark_rows(specs, jobs=4, poly_jobs=4), repeats=3) * 1000,
+        best_of(lambda: benchmark_rows(specs, jobs=4), repeats=3) * 1000,
         2,
     )
 

@@ -121,29 +121,26 @@ def load_program(spec: BenchmarkSpec) -> tuple[Program, float, int]:
 def run_benchmark(
     spec: BenchmarkSpec,
     *,
-    poly_jobs: int | None = None,
     cache: AnalysisCache | None = None,
 ) -> BenchmarkRow:
     """Full Table-2 experiment for one benchmark.
 
-    ``poly_jobs`` selects the polymorphic engine's wavefront scheduler
-    (``None`` keeps the sequential SCC traversal); ``cache`` routes
-    parsing and constraint generation through a content-addressed
-    :class:`~repro.constinfer.cache.AnalysisCache`.  Neither changes any
-    count — the wavefront schedule is bit-deterministic and warm cache
-    solves reproduce cold classifications exactly.
+    ``cache`` routes parsing and constraint generation through a
+    content-addressed :class:`~repro.constinfer.cache.AnalysisCache`.
+    It changes no count: warm cache solves reproduce cold
+    classifications exactly.
     """
     if cache is not None:
         source = generate_source(spec)
         lines = source.count("\n") + 1
         mono = cache.cached_run(source, spec.name, "mono")
-        poly = cache.cached_run(source, spec.name, "poly", jobs=poly_jobs)
+        poly = cache.cached_run(source, spec.name, "poly")
         compile_seconds = mono.timings.parse_seconds if mono.timings else 0.0
         return make_row(spec.name, lines, spec.description, compile_seconds, mono, poly)
 
     program, compile_seconds, lines = load_program(spec)
     mono = run_mono(program)
-    poly = run_poly(program, jobs=poly_jobs)
+    poly = run_poly(program)
     # The engines never see source text, so charge the parse to the
     # mono row's stage breakdown (the suite parses once for both runs).
     if mono.timings is not None:
@@ -154,7 +151,7 @@ def run_benchmark(
 
 
 def _run_benchmark_task(
-    spec: BenchmarkSpec, cache_dir: str | None, poly_jobs: int | None
+    spec: BenchmarkSpec, cache_dir: str | None
 ) -> tuple[BenchmarkRow, tuple[int, int, int, int, int]]:
     """Process-pool worker: one benchmark end to end.
 
@@ -162,7 +159,7 @@ def _run_benchmark_task(
     alongside the row so the parent can aggregate hit/miss totals.
     """
     cache = AnalysisCache(cache_dir) if cache_dir else None
-    row = run_benchmark(spec, poly_jobs=poly_jobs, cache=cache)
+    row = run_benchmark(spec, cache=cache)
     counters = (
         (cache.stats.hits, cache.stats.misses, cache.stats.stores,
          cache.stats.binary_hits, cache.stats.memory_hits)
@@ -176,7 +173,6 @@ def benchmark_rows(
     specs: tuple[BenchmarkSpec, ...] = PAPER_BENCHMARKS,
     *,
     jobs: int | None = None,
-    poly_jobs: int | None = None,
     cache_dir: str | None = None,
     cache_stats: CacheStats | None = None,
 ) -> list[BenchmarkRow]:
@@ -196,7 +192,6 @@ def benchmark_rows(
                     _run_benchmark_task,
                     specs,
                     [cache_dir] * len(specs),
-                    [poly_jobs] * len(specs),
                 )
             )
         if cache_stats is not None:
@@ -207,7 +202,7 @@ def benchmark_rows(
         return [row for row, _counters in outcomes]
 
     cache = AnalysisCache(cache_dir) if cache_dir else None
-    rows = [run_benchmark(spec, poly_jobs=poly_jobs, cache=cache) for spec in specs]
+    rows = [run_benchmark(spec, cache=cache) for spec in specs]
     if cache is not None and cache_stats is not None:
         cache_stats.merge(cache.stats)
     return rows

@@ -35,7 +35,6 @@ see :mod:`repro.constinfer.engine`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -186,50 +185,11 @@ class ConstInference:
         # function body (or global initializer) is processed carry it, so
         # every constraint gets a full file:line:col provenance span.
         self._current_file: str = ""
-        # Guards lazy creation of *shared* cells (globals, struct fields)
-        # when function bodies are analysed by concurrent wavefront
-        # workers; uncontended in the serial engines.  When the wavefront
-        # engine reserves a low uid band for such stragglers it lands in
-        # _shared_band, keeping their uids below every SCC boundary.
-        self._shared_lock = threading.Lock()
+        # Uid band for shared cells (globals, struct fields) created
+        # lazily mid-traversal; the whole-program engine sets it so such
+        # stragglers stay in its shared band.  ``None`` uses the global
+        # counter.
         self._shared_band = None
-
-    # ------------------------------------------------------------------
-    # Pickling (locks don't pickle; views are never pickled)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_shared_lock"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._shared_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Worker-local views (parallel wavefront scheduling)
-    # ------------------------------------------------------------------
-    def local_view(self) -> "ConstInference":
-        """A shallow view for one wavefront worker.
-
-        The view shares every piece of whole-program state — program,
-        lattice, shared cells, signatures, schemes, the lock — but
-        buffers ``constraints`` and ``positions`` locally, so concurrent
-        workers never interleave their output.  The coordinator merges
-        the buffers back in deterministic component order via
-        :meth:`absorb`.
-        """
-        view = object.__new__(ConstInference)
-        view.__dict__.update(self.__dict__)
-        view.constraints = []
-        view.positions = []
-        view._origin_cache = {}
-        return view
-
-    def absorb(self, view: "ConstInference") -> None:
-        """Append a worker view's buffered constraints and positions."""
-        self.constraints.extend(view.constraints)
-        self.positions.extend(view.positions)
 
     # ------------------------------------------------------------------
     # Constraint plumbing
@@ -323,17 +283,11 @@ class ConstInference:
         decl = self.program.globals.get(name)
         if decl is None:
             return None
-        # Shared cells created lazily from a wavefront worker escape the
-        # worker's uid band (they are monomorphic whole-program state,
-        # not SCC-local variables) and are created exactly once.
-        with self._shared_lock:
-            cell = self.global_cells.get(name)
-            if cell is None:
-                with use_uid_band(self._shared_band):
-                    cell = self.cell_for_type(
-                        decl.type, decl.line, decl.col, decl.file
-                    )
-                self.global_cells[name] = cell
+        # A shared cell created lazily escapes the caller's uid band: it
+        # is monomorphic whole-program state, not an SCC-local variable.
+        with use_uid_band(self._shared_band):
+            cell = self.cell_for_type(decl.type, decl.line, decl.col, decl.file)
+        self.global_cells[name] = cell
         return cell
 
     def field_cell(self, tag: str, field_name: str) -> TranslatedType:
@@ -357,12 +311,9 @@ class ConstInference:
             cell = self.cell_for_type(ctype, line, col, file)
             self.field_cells[key] = cell
             return cell
-        with self._shared_lock:
-            cell = self.field_cells.get(key)
-            if cell is None:
-                with use_uid_band(self._shared_band):
-                    cell = self.cell_for_type(ctype, line, col, file)
-                self.field_cells[key] = cell
+        with use_uid_band(self._shared_band):
+            cell = self.cell_for_type(ctype, line, col, file)
+        self.field_cells[key] = cell
         return cell
 
     # ------------------------------------------------------------------

@@ -19,10 +19,6 @@ Keys are SHA-256 digests over every input that can change the output:
 * the qualifier lattice (canonical sorted-qualifier repr),
 * the engine mode and the sorted inference options.
 
-``jobs`` is deliberately *not* part of the key: the wavefront scheduler
-is bit-deterministic across job counts, so serial and parallel runs
-share entries.
-
 Entries are written atomically (tmp file + ``os.replace``) so
 concurrent writers — the process-pool suite runner — can race
 harmlessly: last writer wins with an identical value.  Unreadable or
@@ -451,7 +447,6 @@ class AnalysisCache:
         name: str,
         mode: str,
         lattice: QualifierLattice | None = None,
-        jobs: int | None = None,
         **inference_options,
     ) -> InferenceRun:
         """Run one engine over ``source`` through the cache.
@@ -508,10 +503,7 @@ class AnalysisCache:
 
         program, parse_seconds, _ = self.cached_program(source, name)
         engine = {"mono": run_mono, "poly": run_poly, "polyrec": run_polyrec}[mode]
-        if mode == "poly":
-            run = engine(program, lattice, jobs=jobs, **inference_options)
-        else:
-            run = engine(program, lattice, **inference_options)
+        run = engine(program, lattice, **inference_options)
         blob = _encode_entry(
             run.inference.constraints, run.inference.positions, lattice
         )

@@ -9,8 +9,7 @@ Usage::
     quals-const whole FILE|DIR...     # link units, infer whole-program
 
 The ``suite`` command accepts ``--jobs N`` to fan benchmarks over a
-process pool (and to run the polymorphic engine's wavefront scheduler
-with N threads), ``--cache-dir DIR`` to choose where the
+process pool of N workers, ``--cache-dir DIR`` to choose where the
 content-addressed analysis cache lives, and ``--no-cache`` to disable
 it; warm reruns skip parsing and constraint generation entirely.
 """
@@ -65,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="suite/whole: worker processes for the benchmarks and worker "
-        "threads for the wavefront schedulers (per SCC, or per TU) "
+        help="suite: worker processes for the benchmarks "
         "(default: serial; results are identical either way)",
     )
     parser.add_argument(
@@ -92,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         rows = benchmark_rows(
             specs,
             jobs=args.jobs,
-            poly_jobs=args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
             cache_stats=cache_stats,
         )
@@ -119,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         cache = None if args.no_cache else AnalysisCache(args.cache_dir)
         linked = link_paths(args.files)
         try:
-            result = run_whole_poly(linked, jobs=args.jobs or 1, cache=cache)
+            result = run_whole_poly(linked, cache=cache)
         except ConstInferenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

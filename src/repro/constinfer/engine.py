@@ -20,19 +20,12 @@ of every interesting const position, ready for the Section 4.4 counts.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..cfront.sema import Program
 from ..qual.lattice import QualifierLattice
 from ..qual.poly import generalize
-from ..qual.qtypes import (
-    QualVar,
-    UidBand,
-    advance_fresh_uids,
-    fresh_uid_band,
-    qual_vars,
-)
+from ..qual.qtypes import QualVar, qual_vars
 from ..qual.solver import (
     Classification,
     IndexedSystem,
@@ -171,38 +164,17 @@ def run_mono(
     )
 
 
-#: Uid range reserved per SCC (and for the lazy shared-cell pool) in the
-#: wavefront scheduler.  Deliberately generous: the largest suite
-#: benchmark allocates tens of thousands of variables *in total*, so one
-#: SCC can never exhaust 2**20 uids in practice; if one somehow does,
-#: :class:`~repro.qual.qtypes.UidBandExhausted` aborts the run loudly
-#: rather than silently colliding.
-_UID_BAND_SIZE = 1 << 20
-
-
 def run_poly(
     program: Program,
     lattice: QualifierLattice | None = None,
-    jobs: int | None = None,
     **inference_options,
 ) -> InferenceRun:
-    """Polymorphic const inference: per-SCC generalisation (Section 4.3).
-
-    ``jobs=None`` runs the classic sequential callees-first SCC
-    traversal.  Any integer ``jobs >= 1`` selects the wavefront
-    scheduler instead: SCCs at the same condensation depth are analysed
-    concurrently by up to ``jobs`` worker threads, with banded variable
-    allocation and a deterministic merge order making the result —
-    positions, constraints, classifications, even variable names —
-    bit-identical at every job count (``jobs=1`` runs the same schedule
-    inline).
+    """Polymorphic const inference: per-SCC generalisation (Section 4.3),
+    one callees-first traversal of the function dependence graph.
 
     ``inference_options`` are forwarded to
     :class:`~repro.constinfer.analysis.ConstInference`.
     """
-    if jobs is not None:
-        return _run_poly_wavefront(program, lattice, jobs, inference_options)
-
     start = time.perf_counter()
     inference = ConstInference(program, lattice, **inference_options)
     _create_shared_cells(inference)
@@ -215,19 +187,9 @@ def run_poly(
         # environment" (globals, struct fields, library signatures,
         # previously generalised functions).  Shared cells were all
         # pre-created above, so nothing monomorphic is captured.
-        boundary = _uid_boundary()
-        mark = len(inference.constraints)
-        for name in component:
-            inference.signature_for(program.functions[name])
-        for name in component:
-            inference.analyze_function(program.functions[name])
-        local = inference.constraints[mark:]
-        gen_start = time.perf_counter()
-        for name in component:
-            inference.schemes[name] = _generalize_component_member(
-                inference, name, local, boundary
-            )
-        generalize_seconds += time.perf_counter() - gen_start
+        generalize_seconds += _analyze_component(
+            inference, component, _uid_boundary()
+        )
 
     inference.analyze_global_initializers()
 
@@ -248,6 +210,28 @@ def run_poly(
         inference,
         timings,
     )
+
+
+def _analyze_component(
+    inference: ConstInference, component: list[str], boundary: int
+) -> float:
+    """Analyse one SCC of the function dependence graph and generalise
+    its members (Letv): emit every member's signature, then every body,
+    then quantify each signature over the variables created since
+    ``boundary``.  Returns the seconds spent generalising."""
+    functions = inference.program.functions
+    mark = len(inference.constraints)
+    for name in component:
+        inference.signature_for(functions[name])
+    for name in component:
+        inference.analyze_function(functions[name])
+    local = inference.constraints[mark:]
+    gen_start = time.perf_counter()
+    for name in component:
+        inference.schemes[name] = _generalize_component_member(
+            inference, name, local, boundary
+        )
+    return time.perf_counter() - gen_start
 
 
 def _generalize_component_member(
@@ -269,123 +253,6 @@ def _generalize_component_member(
     env_vars = {v for v in involved if v.uid < boundary}
     return generalize(
         body, local, env_vars, lattice=inference.lattice, compress=True
-    )
-
-
-def _analyze_component(
-    inference: ConstInference,
-    program: Program,
-    component: list[str],
-    band_start: int,
-) -> ConstInference:
-    """Worker body for one SCC in a wavefront: generate the component's
-    constraints into a local view, allocating every fresh variable from
-    the component's reserved uid band so numbering is a pure function of
-    the schedule, never of thread interleaving."""
-    view = inference.local_view()
-    with fresh_uid_band(band_start, _UID_BAND_SIZE):
-        for name in component:
-            view.signature_for(program.functions[name])
-        for name in component:
-            view.analyze_function(program.functions[name])
-    return view
-
-
-def _run_poly_wavefront(
-    program: Program,
-    lattice: QualifierLattice | None,
-    jobs: int,
-    inference_options: dict,
-) -> InferenceRun:
-    """Wavefront-parallel polymorphic inference.
-
-    The FDG condensation is processed level by level (leaves first).
-    Components within a level never reference each other — an FDG edge
-    forces the callee's component strictly deeper — so their constraint
-    generation commutes.  Determinism at any job count comes from three
-    invariants:
-
-    * every component draws fresh variables from a pre-assigned uid band
-      (``level base + index * band``), so allocation is independent of
-      which thread runs when;
-    * shared cells created lazily mid-wavefront (rare: only cells the
-      eager pre-creation pass cannot see) come from one low reserved
-      band, below every level boundary, so the uid-watermark
-      generalisation still treats them as environment;
-    * views are merged and generalised serially, in the level's sorted
-      component order.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    start = time.perf_counter()
-    inference = ConstInference(program, lattice, **inference_options)
-    _create_shared_cells(inference)
-
-    shared_base = _uid_boundary() + 1
-    inference._shared_band = UidBand(shared_base, _UID_BAND_SIZE)
-    advance_fresh_uids(shared_base + _UID_BAND_SIZE)
-
-    graph = FunctionDependenceGraph.build(program)
-    generalize_seconds = 0.0
-    executor: ThreadPoolExecutor | None = None
-    try:
-        for level in graph.wavefronts():
-            boundary = _uid_boundary()
-            base = boundary + 1
-            advance_fresh_uids(base + len(level) * _UID_BAND_SIZE)
-            starts = [base + i * _UID_BAND_SIZE for i in range(len(level))]
-
-            if jobs > 1 and len(level) > 1:
-                if executor is None:
-                    executor = ThreadPoolExecutor(
-                        max_workers=jobs, thread_name_prefix="wavefront"
-                    )
-                views = list(
-                    executor.map(
-                        _analyze_component,
-                        [inference] * len(level),
-                        [program] * len(level),
-                        level,
-                        starts,
-                    )
-                )
-            else:
-                views = [
-                    _analyze_component(inference, program, component, band_start)
-                    for component, band_start in zip(level, starts)
-                ]
-
-            gen_start = time.perf_counter()
-            for component, view in zip(level, views):
-                inference.absorb(view)
-                for name in component:
-                    inference.schemes[name] = _generalize_component_member(
-                        inference, name, view.constraints, boundary
-                    )
-            generalize_seconds += time.perf_counter() - gen_start
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-    inference._shared_band = None
-
-    inference.analyze_global_initializers()
-
-    congen_done = time.perf_counter()
-    solution = _solve(inference)
-    end = time.perf_counter()
-    timings = StageTimings(
-        congen_seconds=congen_done - start - generalize_seconds,
-        solve_seconds=end - congen_done,
-        generalize_seconds=generalize_seconds,
-    )
-    return InferenceRun(
-        "poly",
-        solution,
-        inference.positions,
-        len(inference.constraints),
-        end - start,
-        inference,
-        timings,
     )
 
 
@@ -456,18 +323,10 @@ def run_polyrec(
 
         # generalise fresh assumptions for the next round
         local = inference.constraints[base_constraints:]
-        assumptions = {}
-        for name in program.functions:
-            sig = inference.signatures[name]
-            involved = qual_vars(sig.fun_qtype)
-            for c in local:
-                for q in (c.lhs, c.rhs):
-                    if isinstance(q, QualVar):
-                        involved.add(q)
-            env_vars = {v for v in involved if v.uid < boundary}
-            assumptions[name] = generalize(
-                sig.fun_qtype, local, env_vars, lattice=inference.lattice, compress=True
-            )
+        assumptions = {
+            name: _generalize_component_member(inference, name, local, boundary)
+            for name in program.functions
+        }
     else:
         solution = _solve_incremental(base_system, inference, base_constraints)
 

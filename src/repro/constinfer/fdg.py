@@ -118,11 +118,10 @@ class FunctionDependenceGraph:
         length ``d``: level 0 is the leaves (no calls to other defined
         functions), and every dependence edge crosses from a higher
         level to a strictly lower one.  Components within one level are
-        therefore mutually independent — the polymorphic engine may
-        analyse them in any order, or concurrently, without changing the
-        result.  Concatenating the levels yields a valid callees-first
-        traversal, so ``[c for level in g.wavefronts() for c in level]``
-        covers exactly the components of :meth:`sccs`.
+        therefore mutually independent.  Concatenating the levels yields
+        a valid callees-first traversal, so
+        ``[c for level in g.wavefronts() for c in level]`` covers exactly
+        the components of :meth:`sccs`.
 
         Within a level, components are sorted by member names so the
         schedule (and any band-based variable numbering derived from it)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
@@ -216,20 +215,16 @@ class QualVar:
         return self.uid ^ hash(self.name)
 
 
-_band_local = threading.local()
-
-
 class UidBandExhausted(RuntimeError):
-    """A reserved uid band overflowed; the caller must retry serially
-    (or with a larger band)."""
+    """A reserved uid band overflowed."""
 
 
 class UidBand:
-    """A half-open uid range ``[next, end)`` serving one thread's fresh
-    variables.  Bands make concurrent constraint generation
-    *deterministic*: each worker draws uids from its own pre-assigned
-    range, so the variables a task allocates are a pure function of the
-    task and its band start — independent of scheduling interleavings."""
+    """A half-open uid range ``[next, end)`` serving one task's fresh
+    variables.  Bands make numbering *absolute*: the variables a task
+    allocates are a pure function of the task and its band start, not of
+    what ran before it — so a cached result's variables are value-equal
+    to the ones a live run would allocate."""
 
     __slots__ = ("start", "next", "end")
 
@@ -248,15 +243,16 @@ class UidBand:
         return uid
 
 
-def fresh_qual_var(hint: str = "k") -> QualVar:
-    """Allocate a globally fresh qualifier variable.
+#: The band :func:`fresh_qual_var` draws from, or ``None`` for the
+#: global counter; set by :class:`use_uid_band`.
+_current_band: UidBand | None = None
 
-    ``next()`` on :func:`itertools.count` is atomic under the GIL, so
-    concurrent allocators still receive distinct uids without a lock.
-    When the calling thread is inside :func:`fresh_uid_band`, uids come
-    from the thread's reserved band instead of the global counter.
-    """
-    band = getattr(_band_local, "band", None)
+
+def fresh_qual_var(hint: str = "k") -> QualVar:
+    """Allocate a globally fresh qualifier variable — from the band of
+    the enclosing :class:`use_uid_band`, if any, else the global
+    counter."""
+    band = _current_band
     if band is not None:
         uid = band.take()
     else:
@@ -265,43 +261,23 @@ def fresh_qual_var(hint: str = "k") -> QualVar:
 
 
 class use_uid_band:
-    """Context manager routing this thread's :func:`fresh_qual_var`
-    calls to ``band`` — a :class:`UidBand`, or ``None`` for the global
-    counter.
-
-    The coordinator of a parallel wavefront assigns each worker a
-    disjoint band and afterwards calls :func:`advance_fresh_uids` past
-    every reserved range, so banded uids never collide with later global
-    allocations.  Bands nest: the previous routing is restored on exit.
-    """
+    """Context manager routing :func:`fresh_qual_var` calls to ``band``
+    — a :class:`UidBand`, or ``None`` for the global counter.  Bands
+    nest: the previous routing is restored on exit."""
 
     def __init__(self, band: UidBand | None) -> None:
         self._band = band
         self._prev: UidBand | None = None
 
     def __enter__(self) -> UidBand | None:
-        self._prev = getattr(_band_local, "band", None)
-        _band_local.band = self._band
+        global _current_band
+        self._prev = _current_band
+        _current_band = self._band
         return self._band
 
     def __exit__(self, *exc: object) -> None:
-        _band_local.band = self._prev
-
-
-def fresh_uid_band(start: int, size: int) -> use_uid_band:
-    """Reserve ``[start, start + size)`` for this thread's allocations."""
-    return use_uid_band(UidBand(start, size))
-
-
-def advance_fresh_uids(minimum: int) -> None:
-    """Ensure every subsequent global allocation has ``uid >= minimum``.
-
-    Called after a banded wavefront completes so the global counter
-    skips the reserved ranges.  Never moves the counter backwards.
-    """
-    global _fresh_counter
-    current = next(_fresh_counter)
-    _fresh_counter = itertools.count(max(current + 1, minimum))
+        global _current_band
+        _current_band = self._prev
 
 
 Qual = Union[QualVar, LatticeElement]

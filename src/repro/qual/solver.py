@@ -725,8 +725,8 @@ def shortest_flow_path(
 
     Ties break deterministically by origin span, then variable uid —
     *not* by constraint emission order — so the witness is stable no
-    matter how the constraint list was assembled (``--jobs`` absorption
-    order, cache-restored summaries, concatenated TUs).
+    matter how the constraint list was assembled (cache-restored
+    summaries, concatenated TUs).
     """
 
     def origin_rank(c: QualConstraint) -> tuple[str, int, int, str]:

@@ -1,10 +1,9 @@
 """repro.testkit — coverage-seeded differential & metamorphic fuzzing.
 
-The repo carries four independently-optimised engines that must agree
+The repo carries independently-optimised engines that must agree
 bit-for-bit: the reference worklist solver vs. the bitmask condensation
-kernel, the serial SCC traversal vs. the wavefront scheduler, cold runs
-vs. the content-addressed cache, and per-TU analysis vs. the
-whole-program link.  This package turns those pairings into a permanent
+kernel, cold runs vs. the content-addressed cache, and per-TU analysis
+vs. the whole-program link.  This package turns those pairings into a permanent
 correctness-tooling subsystem:
 
 * :mod:`repro.testkit.lamgen` — seeded generators of well-typed lambda

@@ -6,7 +6,7 @@ delta-debugged to a minimal reproducer and written into ``--out`` as a
 ready-to-commit pytest file; the exit status is 1 so CI jobs fail loud.
 
     python -m repro.testkit fuzz --seed 0 --budget 60s
-    python -m repro.testkit fuzz --seed 7 --budget 5m --engines solver,jobs
+    python -m repro.testkit fuzz --seed 7 --budget 5m --engines solver,cache
     python -m repro.testkit fuzz --programs 200 --out artifacts/ --json report.json
 """
 
@@ -74,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join(ALL_ORACLES),
     )
     fuzz.add_argument(
-        "--jobs", type=int, default=2, help="worker count for the parallel pairings"
+        "--jobs",
+        type=int,
+        default=2,
+        help="process-pool width for the resource-whole jobs=1 vs jobs=N pairing",
     )
     fuzz.add_argument(
         "--max-depth", type=int, default=5, help="lambda generator depth budget"

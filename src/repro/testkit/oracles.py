@@ -28,10 +28,6 @@ C corpora (:func:`check_c_corpus`):
 
 ``solver``
     solve vs. solve_reference over ``run_poly``'s constraint system;
-``jobs``
-    ``run_poly(jobs=1)`` vs. the wavefront scheduler at ``jobs=N`` —
-    positions, classifications, constraint count, and variable uids
-    must be bit-identical;
 ``cache``
     a cold :meth:`~repro.constinfer.cache.AnalysisCache.cached_run`
     vs. the warm rerun of the same source;
@@ -39,8 +35,11 @@ C corpora (:func:`check_c_corpus`):
     linking the corpus's units vs. analysing their textual
     concatenation (classification multiset, ``static`` names compared
     modulo the linker's ``@unit`` renaming);
-``whole-jobs``
-    ``run_whole_poly`` at ``jobs=1`` vs. ``jobs=N``;
+``whole-cache``
+    ``run_whole_poly`` cold into a fresh cache vs. the warm rerun —
+    positions, classifications and variable uids must be bit-identical
+    and the warm run must analyse no group (cached summaries re-link
+    only because their uid bands are absolute);
 ``metamorphic-repartition``
     re-dealing modules onto a different TU partition must not move the
     whole-program classification multiset;
@@ -61,8 +60,8 @@ C corpora (:func:`check_c_corpus`):
     every planted cross-TU bug kind is found (and nothing else), each
     finding carries a multi-step flow path, the finding multiset is
     invariant under alpha-renaming and TU re-partitioning, and
-    cold vs. warm cache and ``jobs=1`` vs. ``jobs=N`` runs render
-    byte-identical SARIF;
+    cold vs. warm cache and ``jobs=1`` vs. ``jobs=N`` process-pool runs
+    render byte-identical SARIF;
 ``ingest``
     resilient ingestion is conservative: every *clean* unit pushed
     through the recovery path (:func:`repro.cfront.parse_c_resilient`)
@@ -119,9 +118,11 @@ class EngineConfig:
     """The engines under test, injectable for mutation testing.
 
     ``solve_fn`` is the production pipeline each differential pairs
-    against ``reference_fn``; ``run_poly_fn`` is the C engine used for
-    the jobs pairing.  ``oracles`` restricts which oracle families run
-    (None = all); names match the module docstring.
+    against ``reference_fn``; ``run_poly_fn`` is the C engine whose
+    constraint system the solver pairings check and the whole-program
+    pairings compare against; ``jobs`` is the process-pool width of the
+    ``resource-whole`` pairing.  ``oracles`` restricts which oracle
+    families run (None = all); names match the module docstring.
     """
 
     solve_fn: Callable = solve
@@ -183,8 +184,7 @@ def _diff_verdicts(name: str, a, b) -> Disagreement | None:
 def _pinned(fn: Callable, /, *args, **kwargs):
     """Run ``fn`` with the fresh-uid counter pinned to a fixed base, so
     two engine runs over the same program number their variables
-    identically and can be compared byte-for-byte (the same trick the
-    wavefront determinism tests use)."""
+    identically and can be compared byte-for-byte."""
     saved = _qtypes._fresh_counter
     _qtypes._fresh_counter = itertools.count(1 << 40)
     try:
@@ -482,9 +482,9 @@ def check_c_corpus(
 
     baseline: InferenceRun | None = None
     try:
-        baseline = _pinned(cfg.run_poly_fn, program, jobs=1)
+        baseline = _pinned(cfg.run_poly_fn, program)
     except Exception as exc:
-        out.append(Disagreement("engine-crash", f"run_poly(jobs=1): {exc}"))
+        out.append(Disagreement("engine-crash", f"run_poly: {exc}"))
 
     if cfg.enabled("solver") and baseline is not None:
         constraints = baseline.inference.constraints
@@ -509,22 +509,6 @@ def check_c_corpus(
         )
         if (d := _diff_verdicts("flatcore", a, b)) is not None:
             out.append(d)
-
-    if cfg.enabled("jobs") and baseline is not None:
-        try:
-            parallel = _pinned(cfg.run_poly_fn, program, jobs=cfg.jobs)
-        except Exception as exc:
-            out.append(Disagreement("jobs", f"jobs={cfg.jobs} crashed: {exc}"))
-        else:
-            if _run_fingerprint(parallel) != _run_fingerprint(baseline):
-                out.append(
-                    Disagreement(
-                        "jobs",
-                        f"jobs=1 and jobs={cfg.jobs} runs differ "
-                        f"({baseline.constraint_count} vs "
-                        f"{parallel.constraint_count} constraints)",
-                    )
-                )
 
     if cfg.enabled("cache"):
         with tempfile.TemporaryDirectory(prefix="testkit-cache-") as tmp:
@@ -555,10 +539,10 @@ def check_c_corpus(
     whole = None
     if any(
         cfg.enabled(name)
-        for name in ("whole-concat", "whole-jobs", "metamorphic-repartition", "checker")
+        for name in ("whole-concat", "metamorphic-repartition", "checker")
     ):
         try:
-            whole = _pinned(run_whole_poly, link_sources(sources), jobs=1)
+            whole = _pinned(run_whole_poly, link_sources(sources))
         except Exception as exc:
             out.append(Disagreement("engine-crash", f"run_whole_poly: {exc}"))
 
@@ -571,24 +555,33 @@ def check_c_corpus(
                 )
             )
 
-    if cfg.enabled("whole-jobs") and whole is not None:
-        try:
-            whole_jobs = _pinned(run_whole_poly, link_sources(sources), jobs=cfg.jobs)
-        except Exception as exc:
-            out.append(Disagreement("whole-jobs", f"jobs={cfg.jobs} crashed: {exc}"))
-        else:
-            if _run_fingerprint(whole_jobs.run) != _run_fingerprint(whole.run):
-                out.append(
-                    Disagreement(
-                        "whole-jobs",
-                        f"whole-program runs differ between jobs=1 and jobs={cfg.jobs}",
+    if cfg.enabled("whole-cache"):
+        with tempfile.TemporaryDirectory(prefix="testkit-whole-cache-") as tmp:
+            cache = AnalysisCache(tmp)
+            try:
+                cold = _pinned(run_whole_poly, link_sources(sources), cache=cache)
+                warm = _pinned(run_whole_poly, link_sources(sources), cache=cache)
+            except Exception as exc:
+                out.append(Disagreement("whole-cache", f"cached run crashed: {exc}"))
+            else:
+                if warm.summary_misses:
+                    out.append(
+                        Disagreement(
+                            "whole-cache",
+                            f"warm run re-analysed {warm.summary_misses} group(s)",
+                        )
                     )
-                )
+                if _run_fingerprint(cold.run) != _run_fingerprint(warm.run):
+                    out.append(
+                        Disagreement(
+                            "whole-cache", "cold and warm whole-program runs differ"
+                        )
+                    )
 
     repartitioned = corpus.repartitioned(corpus.seed + 0x5EED)
     if cfg.enabled("metamorphic-repartition") and whole is not None:
         try:
-            whole_rp = run_whole_poly(link_sources(repartitioned.sources()), jobs=1)
+            whole_rp = run_whole_poly(link_sources(repartitioned.sources()))
         except Exception as exc:
             out.append(
                 Disagreement("metamorphic-repartition", f"repartitioned run crashed: {exc}")
@@ -858,8 +851,8 @@ def check_resource_xtu(seed: int, jobs: int = 2) -> list[Disagreement]:
       different unit assignment must not move the (kind, message,
       flow length) multiset;
     * **cache / jobs** — cold vs. warm cached runs and ``jobs=1`` vs.
-      ``jobs=N`` runs over the same tree must render byte-identical
-      SARIF.
+      ``jobs=N`` process-pool runs over the same tree must render
+      byte-identical SARIF.
     """
     from pathlib import Path
 
@@ -988,10 +981,9 @@ def check_resource_xtu(seed: int, jobs: int = 2) -> list[Disagreement]:
 ALL_ORACLES: tuple[str, ...] = (
     "solver",
     "flatcore",
-    "jobs",
     "cache",
     "whole-concat",
-    "whole-jobs",
+    "whole-cache",
     "metamorphic-rename",
     "metamorphic-deadlet",
     "metamorphic-repartition",

@@ -14,9 +14,9 @@ evaluation over whole multi-file benchmarks:
 * :mod:`repro.whole.callgraph` — a cross-TU call graph whose indirect
   call sites are resolved against the address-taken, type-compatible
   defined functions;
-* :mod:`repro.whole.engine` — SCC-wavefront scheduling lifted to the
-  cross-TU function dependence graph, grouped per TU so ``--jobs N``
-  parallelism applies per translation unit;
+* :mod:`repro.whole.engine` — the callees-first SCC traversal lifted
+  to the cross-TU function dependence graph, grouped per TU so each
+  translation unit (or cycle of units) is one cacheable work item;
 * :mod:`repro.whole.summary` — each TU group's output (constraints,
   positions, and the ``forall kappa. rho \\ C`` scheme per exported
   symbol) serialized through the content-addressed analysis cache, so a

@@ -13,7 +13,7 @@ The resolution edges feed two consumers:
 
 * :meth:`WholeProgramCallGraph.function_graph` — the cross-TU function
   dependence graph (Definition 4 occurrence edges plus resolution
-  edges) the wavefront scheduler condenses.  Extra edges only coarsen
+  edges) the whole-program engine condenses.  Extra edges only coarsen
   the schedule; they never change the inference result, because an
   indirect call constrains the *pointer cell*, which the address-taking
   assignment already connected to the target's signature.

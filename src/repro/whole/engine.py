@@ -1,21 +1,17 @@
-"""Whole-program polymorphic inference: SCC wavefronts lifted to TUs.
+"""Whole-program polymorphic inference: the SCC traversal lifted to TUs.
 
-The per-unit engine's wavefront scheduler
-(:func:`repro.constinfer.engine._run_poly_wavefront`) parallelises over
-function SCCs.  Here the same machinery is lifted one level: the
-cross-TU function dependence graph (occurrence edges plus
+The cross-TU function dependence graph (occurrence edges plus
 function-pointer resolution edges) is projected onto translation units,
-the TU-level condensation is walked in wavefronts, and each TU group —
-one unit, or one cycle of mutually-dependent units — is a schedulable,
-cacheable work item.  ``--jobs N`` therefore parallelises per TU, and
+and the TU-level condensation is walked callees-first.  Each TU group —
+one unit, or one cycle of mutually-dependent units — is analysed with
+the per-unit engine's per-SCC traversal and is one cacheable work item:
 the content-addressed cache stores one summary per TU group.
 
-Determinism at any job count, and across cold/warm cache mixes, comes
-from **absolute** uid banding: the shared symbol layer (globals, struct
-fields, library prototypes) always occupies
-``[WHOLE_UID_BASE, WHOLE_UID_BASE + band)``, and TU group *k* of the
-schedule always draws from band ``k + 1``.  Variable numbering is a
-pure function of the linked program, never of thread interleaving or of
+Agreement across cold/warm cache mixes comes from **absolute** uid
+banding: the shared symbol layer (globals, struct fields, library
+prototypes) always occupies ``[WHOLE_UID_BASE, WHOLE_UID_BASE + band)``,
+and TU group *k* of the schedule always draws from band ``k + 1``.
+Variable numbering is a pure function of the linked program, never of
 which groups were served from the cache — so a cached summary's
 variables are value-equal (:class:`~repro.qual.qtypes.QualVar` compares
 by uid and name) to the ones a live run would allocate, and summaries
@@ -25,18 +21,16 @@ re-link exactly.
 from __future__ import annotations
 
 import time
-from typing import Any
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..constinfer.analysis import ConstInference
 from ..constinfer.cache import AnalysisCache
 from ..constinfer.engine import (
     InferenceRun,
     StageTimings,
-    _UID_BAND_SIZE,
+    _analyze_component,
     _create_shared_cells,
-    _generalize_component_member,
     _solve,
 )
 from ..constinfer.fdg import FunctionDependenceGraph
@@ -59,6 +53,14 @@ from .summary import (
 #: summary blobs and live runs agree on every shared variable's uid.
 WHOLE_UID_BASE = 1 << 40
 
+#: Uid range reserved for the shared layer and for each TU group.
+#: Deliberately generous: the largest suite benchmark allocates tens of
+#: thousands of variables *in total*, so one group can never exhaust
+#: 2**20 uids in practice; if one somehow does,
+#: :class:`~repro.qual.qtypes.UidBandExhausted` aborts the run loudly
+#: rather than silently colliding.
+_UID_BAND_SIZE = 1 << 20
+
 
 @dataclass
 class WholeProgramRun:
@@ -77,9 +79,8 @@ class WholeProgramRun:
 
 @dataclass
 class _GroupTask:
-    """One schedulable TU group with its precomputed identity."""
+    """One TU group of the schedule with its precomputed identity."""
 
-    index: int  # schedule position (band index - 1)
     units: tuple[str, ...]
     functions: tuple[str, ...]  # FDG order within the group
     band_base: int
@@ -165,68 +166,56 @@ def _analyze_group(
     cache: AnalysisCache | None,
     lattice: QualifierLattice | None,
     options: dict[str, Any],
-) -> tuple[TUSummary, bool]:
-    """Worker: produce one group's summary — from the cache when warm,
-    by banded constraint generation and per-SCC generalisation when
-    cold.  Returns ``(summary, from_cache)``."""
+) -> tuple[bool, float]:
+    """Add one group's constraints, positions and schemes to
+    ``inference`` — from its cached summary when warm, by banded
+    per-SCC analysis when cold.  Returns ``(from_cache, seconds spent
+    generalising)``."""
     if cache is not None:
         cached = load_summary(
             cache, source_key=task.source_key, lattice=lattice, options=options
         )
         if cached is not None and cached.band_base == task.band_base:
-            return cached, True
+            inference.constraints.extend(cached.constraints)
+            inference.positions.extend(cached.positions)
+            inference.schemes.update(cached.schemes)
+            return True, 0.0
 
-    program = inference.program
-    view = inference.local_view()
-    view.schemes = dict(inference.schemes)
-    schemes: dict[str, object] = {}
-    local_graph = fdg.restricted(set(task.functions))
+    mark = len(inference.constraints)
+    position_mark = len(inference.positions)
+    generalize_seconds = 0.0
     band = UidBand(task.band_base, _UID_BAND_SIZE)
     with use_uid_band(band):
-        for component in local_graph.sccs():
-            boundary = band.next
-            mark = len(view.constraints)
-            for name in component:
-                view.signature_for(program.functions[name])
-            for name in component:
-                view.analyze_function(program.functions[name])
-            local = view.constraints[mark:]
-            for name in component:
-                scheme = _generalize_component_member(view, name, local, boundary)
-                view.schemes[name] = scheme
-                schemes[name] = scheme
+        for component in fdg.restricted(set(task.functions)).sccs():
+            generalize_seconds += _analyze_component(inference, component, band.next)
 
-    summary = TUSummary(
-        group=task.units,
-        functions=task.functions,
-        constraints=view.constraints,
-        positions=view.positions,
-        schemes=schemes,  # type: ignore[arg-type]
-        band_base=task.band_base,
-    )
     if cache is not None:
+        summary = TUSummary(
+            group=task.units,
+            functions=task.functions,
+            constraints=inference.constraints[mark:],
+            positions=inference.positions[position_mark:],
+            schemes={name: inference.schemes[name] for name in task.functions},
+            band_base=task.band_base,
+        )
         store_summary(
             cache, summary, source_key=task.source_key, lattice=lattice, options=options
         )
-    return summary, False
+    return False, generalize_seconds
 
 
 def run_whole_poly(
     linked: LinkedProgram,
     lattice: QualifierLattice | None = None,
-    jobs: int = 1,
     cache: AnalysisCache | None = None,
     **inference_options: Any,
 ) -> WholeProgramRun:
     """Polymorphic inference over a linked program, scheduled per TU.
 
-    ``jobs`` bounds the worker threads per wavefront level; the output —
-    constraints, positions, schemes, classifications — is bit-identical
-    at every job count and for any cold/warm cache mix.  ``cache``
-    enables per-TU-group summary memoisation.
+    The output — constraints, positions, schemes, classifications — is
+    bit-identical for any cold/warm cache mix.  ``cache`` enables
+    per-TU-group summary memoisation.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
     program = linked.program
     inference = ConstInference(program, lattice, **inference_options)
@@ -250,10 +239,10 @@ def run_whole_poly(
     tu_of = linked.tu_of_function
     layout = shared_layout_digest(program) if cache is not None else ""
 
-    tasks: list[list[_GroupTask]] = []
-    index = 0
+    # Groups in level-major condensation order (callees first); group k
+    # draws from band k + 1.
+    tasks: list[_GroupTask] = []
     for level in tu_graph.wavefronts():
-        level_tasks: list[_GroupTask] = []
         for component in level:
             units = tuple(sorted(component))
             unit_set = set(units)
@@ -262,6 +251,7 @@ def run_whole_poly(
             )
             if not functions:
                 continue  # nothing to analyse; globals are shared-layer
+            band_base = WHOLE_UID_BASE + (len(tasks) + 1) * _UID_BAND_SIZE
             source_key = ""
             if cache is not None:
                 source_key = summary_source_key(
@@ -269,63 +259,32 @@ def run_whole_poly(
                     dependency_closure(units, tu_graph),
                     linked.sources,
                     layout,
-                    WHOLE_UID_BASE + (index + 1) * _UID_BAND_SIZE,
+                    band_base,
                 )
-            level_tasks.append(
+            tasks.append(
                 _GroupTask(
-                    index=index,
                     units=units,
                     functions=functions,
-                    band_base=WHOLE_UID_BASE + (index + 1) * _UID_BAND_SIZE,
+                    band_base=band_base,
                     source_key=source_key,
                 )
             )
-            index += 1
-        if level_tasks:
-            tasks.append(level_tasks)
 
     hits = misses = 0
     generalize_seconds = 0.0
-    executor: ThreadPoolExecutor | None = None
-    try:
-        for level_tasks in tasks:
-            if jobs > 1 and len(level_tasks) > 1:
-                if executor is None:
-                    executor = ThreadPoolExecutor(
-                        max_workers=jobs, thread_name_prefix="tu-wavefront"
-                    )
-                results = list(
-                    executor.map(
-                        lambda task: _analyze_group(
-                            inference, task, fdg, cache, lattice, inference_options
-                        ),
-                        level_tasks,
-                    )
-                )
-            else:
-                results = [
-                    _analyze_group(
-                        inference, task, fdg, cache, lattice, inference_options
-                    )
-                    for task in level_tasks
-                ]
-
-            gen_start = time.perf_counter()
-            for task, (summary, from_cache) in zip(level_tasks, results):
-                hits += from_cache
-                misses += not from_cache
-                inference.constraints.extend(summary.constraints)
-                inference.positions.extend(summary.positions)
-                for name in summary.functions:
-                    inference.schemes[name] = summary.schemes[name]
-            generalize_seconds += time.perf_counter() - gen_start
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for task in tasks:
+        from_cache, seconds = _analyze_group(
+            inference, task, fdg, cache, lattice, inference_options
+        )
+        hits += from_cache
+        misses += not from_cache
+        generalize_seconds += seconds
 
     # Global initializers run last (Section 4.3), in their own
     # deterministic band just past every group band.
-    final_band = UidBand(WHOLE_UID_BASE + (index + 1) * _UID_BAND_SIZE, _UID_BAND_SIZE)
+    final_band = UidBand(
+        WHOLE_UID_BASE + (len(tasks) + 1) * _UID_BAND_SIZE, _UID_BAND_SIZE
+    )
     with use_uid_band(final_band):
         inference.analyze_global_initializers()
     inference._shared_band = None
@@ -352,7 +311,7 @@ def run_whole_poly(
         linked=linked,
         run=run,
         callgraph=callgraph,
-        schedule=[task.units for level in tasks for task in level],
+        schedule=[task.units for task in tasks],
         summary_hits=hits,
         summary_misses=misses,
         link_seconds=end - start,

@@ -123,3 +123,21 @@ class TestEndToEnd:
         assert compile_seconds > 0
         assert lines >= PAPER_BENCHMARKS[0].lines
         assert program.functions
+
+
+class TestSuiteParallelism:
+    def test_process_pool_rows_match_serial(self):
+        from repro.benchsuite.suite import benchmark_rows, scaling_specs
+
+        specs = scaling_specs((1, 2))
+        serial = benchmark_rows(specs)
+        pooled = benchmark_rows(specs, jobs=2)
+        key = lambda r: (r.name, r.declared, r.mono, r.poly, r.total_possible)
+        assert [key(r) for r in serial] == [key(r) for r in pooled]
+
+    def test_pool_preserves_spec_order(self):
+        from repro.benchsuite.suite import benchmark_rows, scaling_specs
+
+        specs = scaling_specs((2, 1))
+        rows = benchmark_rows(specs, jobs=2)
+        assert [r.name for r in rows] == ["sweep-2", "sweep-1"]

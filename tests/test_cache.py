@@ -119,12 +119,6 @@ class TestCachedRun:
         assert warm.timings.parse_seconds == 0.0
         assert warm.timings.generalize_seconds == 0.0
 
-    def test_poly_jobs_share_entries(self, cache):
-        cold = cache.cached_run(SOURCE, "t", "poly", jobs=2)
-        warm = cache.cached_run(SOURCE, "t", "poly", jobs=4)
-        assert warm.timings.from_cache
-        assert classifications(cold) == classifications(warm)
-
     def test_explicit_lattice_roundtrips(self, cache):
         lattice = const_lattice()
         cold = cache.cached_run(SOURCE, "t", "mono", lattice=lattice)

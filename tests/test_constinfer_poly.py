@@ -2,8 +2,11 @@
 (Section 4.3): per-SCC generalisation, instantiation at call sites, and
 the mono-vs-poly gap the paper measures."""
 
+import itertools
+
 from repro.cfront.sema import Program
 from repro.constinfer.engine import run_mono, run_poly
+from repro.qual import qtypes
 from repro.qual.solver import Classification
 
 
@@ -155,6 +158,38 @@ class TestTraversalOrder:
         for name, param in [("leaf", "p"), ("mid", "p"), ("top", "p")]:
             assert v[f"{name}/param 0 ({param})@1"] is Classification.EITHER
 
+    def test_repeat_runs_are_byte_identical(self):
+        # globals, a shared struct field, a mutually recursive SCC and
+        # library calls: with the fresh-uid counter pinned, two runs
+        # number every variable and emit every constraint identically
+        program = Program.from_source("""
+        int *shared;
+        struct node { int *payload; };
+        int leaf_a(int *p) { return *p; }
+        int leaf_b(const char *s) { return s ? 1 : 0; }
+        int pong(int n);
+        int ping(int n) { return n ? pong(n - 1) : leaf_a(shared); }
+        int pong(int n) { return ping(n); }
+        void store(struct node *n, int *v) { n->payload = v; }
+        int top(struct node *n) { store(n, shared); return ping(3) + leaf_b("x"); }
+        """)
+
+        def pinned_snapshot():
+            saved = qtypes._fresh_counter
+            qtypes._fresh_counter = itertools.count(1 << 40)
+            try:
+                run = run_poly(program)
+            finally:
+                qtypes._fresh_counter = saved
+            return (
+                [(str(p.var), p.function, p.where, p.depth, p.declared)
+                 for p in run.positions],
+                [repr(c) for c in run.inference.constraints],
+                [run.classify(p).name for p in run.positions],
+            )
+
+        assert pinned_snapshot() == pinned_snapshot()
+
 
 class TestTimingsRecorded:
     def test_elapsed_positive(self):
@@ -165,3 +200,11 @@ class TestTimingsRecorded:
     def test_modes_labelled(self):
         mono, poly = both(ID_MIXED_USE)
         assert mono.mode == "mono" and poly.mode == "poly"
+
+    def test_stage_timings_populated(self):
+        _mono, poly = both(ID_MIXED_USE)
+        assert poly.timings is not None
+        assert poly.timings.congen_seconds >= 0
+        assert poly.timings.generalize_seconds > 0
+        assert poly.timings.solve_seconds > 0
+        assert not poly.timings.from_cache

@@ -94,7 +94,7 @@ class TestConstraintSystemPickling:
 
     def test_unpickled_system_solves_identically(self):
         program = Program.from_source(SOURCE)
-        run = run_poly(program, jobs=1)
+        run = run_poly(program)
         constraints, positions = roundtrip(
             (run.inference.constraints, run.inference.positions)
         )

@@ -18,6 +18,8 @@ from repro.qual.qtypes import (
     STD_UNIT,
     TypeConstructor,
     UNIT,
+    UidBand,
+    UidBandExhausted,
     Variance,
     apply_qual_subst,
     apply_shape_subst,
@@ -39,6 +41,7 @@ from repro.qual.qtypes import (
     std_ref,
     std_type_vars,
     strip,
+    use_uid_band,
 )
 from repro.qual.qualifiers import const_lattice
 
@@ -90,6 +93,25 @@ class TestFreshVars:
 
     def test_hint_in_name(self):
         assert fresh_qual_var("zz").name.startswith("zz")
+
+
+class TestUidBands:
+    def test_band_allocates_contiguously(self):
+        band = UidBand(100, 10)
+        assert [band.take() for _ in range(3)] == [100, 101, 102]
+
+    def test_band_exhaustion_raises(self):
+        band = UidBand(0, 2)
+        band.take()
+        band.take()
+        with pytest.raises(UidBandExhausted):
+            band.take()
+
+    def test_bands_nest_and_restore(self):
+        with use_uid_band(UidBand(1 << 51, 16)):
+            with use_uid_band(UidBand(1 << 52, 16)):
+                assert fresh_qual_var().uid == 1 << 52
+            assert fresh_qual_var().uid == 1 << 51
 
 
 class TestQTypeAccessors:

@@ -206,8 +206,8 @@ class TestScaling:
 class TestFlowPathDeterminism:
     """``shortest_flow_path`` must pick the same witness no matter how
     the constraint list was assembled (regression: the pre-fix picker
-    broke ties by emission order, so ``--jobs`` absorption order and
-    cache-restored summaries could flip the reported path)."""
+    broke ties by emission order, so cache-restored summaries could
+    flip the reported path)."""
 
     @staticmethod
     def _spanned(lhs, rhs, filename, line, column=1, reason="flow"):

@@ -103,7 +103,7 @@ class TestOracleMatrix:
         generated = generate_lambda(0)
         config = EngineConfig(oracles=frozenset({"solver"}))
         assert config.enabled("solver")
-        assert not config.enabled("jobs")
+        assert not config.enabled("cache")
         assert check_lambda(generated.expr, generated.language, config) == []
 
 
@@ -197,7 +197,7 @@ class TestCli:
         assert parse_budget("1h") == 3600.0
 
     def test_engines_validation(self):
-        assert parse_engines("solver,jobs") == frozenset({"solver", "jobs"})
+        assert parse_engines("solver,cache") == frozenset({"solver", "cache"})
         with pytest.raises(Exception):
             parse_engines("solver,warp-drive")
 

@@ -1,16 +1,18 @@
-"""Tests for whole-program polymorphic inference: determinism at any
-job count and cold/warm cache mix, per-TU summary caching with
+"""Tests for whole-program polymorphic inference: determinism across
+repeat runs and any cold/warm cache mix, per-TU summary caching with
 dependency-closure invalidation, cross-TU schemes, and the
 concatenation-equivalence property (linking a.c + b.c must classify
 exactly like analysing their textual concatenation, modulo static
 renaming)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constinfer.analysis import ConstInference
 from repro.constinfer.cache import AnalysisCache
 from repro.constinfer.engine import run_poly
+from repro.qual.qtypes import QualVar
+from repro.whole import engine as whole_engine
 from repro.whole import link_sources, run_whole_poly
 from repro.whole.engine import WHOLE_UID_BASE
 
@@ -67,12 +69,6 @@ def classification_multiset(run):
     )
 
 
-def test_jobs_do_not_change_output():
-    baseline = run_fingerprint(run_whole_poly(link_sources(FOUR_TUS), jobs=1))
-    for jobs in (2, 4):
-        assert run_fingerprint(run_whole_poly(link_sources(FOUR_TUS), jobs=jobs)) == baseline
-
-
 def test_repeat_runs_are_identical():
     a = run_fingerprint(run_whole_poly(link_sources(FOUR_TUS)))
     b = run_fingerprint(run_whole_poly(link_sources(FOUR_TUS)))
@@ -88,13 +84,54 @@ def test_all_uids_live_in_the_whole_band_space():
                 assert uid >= WHOLE_UID_BASE
 
 
+def test_group_summaries_concatenate_to_the_run(tmp_path, monkeypatch):
+    """Each group's summary is exactly the slice of the run it added:
+    the shared-layer head, then every group's summary in schedule order,
+    then the global-initializer tail."""
+    stored = []
+    store_summary = whole_engine.store_summary
+
+    def capture(cache, summary, **kwargs):
+        stored.append(summary)
+        return store_summary(cache, summary, **kwargs)
+
+    tail_start = []
+    analyze_global_initializers = ConstInference.analyze_global_initializers
+
+    def mark_tail(self):
+        tail_start.append(len(self.constraints))
+        return analyze_global_initializers(self)
+
+    monkeypatch.setattr(whole_engine, "store_summary", capture)
+    monkeypatch.setattr(ConstInference, "analyze_global_initializers", mark_tail)
+    sources = dict(FOUR_TUS)
+    sources["table.c"] += "int limit = 2;\nint *limit_ptr = &limit;\n"
+    result = run_whole_poly(link_sources(sources), cache=AnalysisCache(tmp_path))
+    inference = result.run.inference
+
+    assert [summary.group for summary in stored] == result.schedule
+    groups = [c for summary in stored for c in summary.constraints]
+    (tail,) = tail_start
+    head = tail - len(groups)
+    assert inference.constraints[head:tail] == groups
+    assert len(inference.constraints) > tail  # limit_ptr's initializer
+    shared_band_end = WHOLE_UID_BASE + whole_engine._UID_BAND_SIZE
+    for constraint in inference.constraints[:head]:
+        for side in (constraint.lhs, constraint.rhs):
+            if isinstance(side, QualVar):
+                assert WHOLE_UID_BASE <= side.uid < shared_band_end
+    assert inference.positions == [
+        p for summary in stored for p in summary.positions
+    ]
+
+
 def test_cold_warm_and_partial_cache_identical(tmp_path):
     cache = AnalysisCache(tmp_path)
     cold = run_whole_poly(link_sources(FOUR_TUS), cache=cache)
     assert cold.summary_hits == 0
     assert cold.summary_misses == 4
 
-    warm = run_whole_poly(link_sources(FOUR_TUS), cache=cache, jobs=4)
+    warm = run_whole_poly(link_sources(FOUR_TUS), cache=cache)
     assert warm.summary_hits == 4
     assert warm.summary_misses == 0
     assert warm.run.timings.from_cache
@@ -230,8 +267,3 @@ def test_whole_matches_concatenation_with_static_renaming():
     renamed = a.replace("mark", "mark_one") + b.replace("mark", "mark_two")
     concat = run_poly(Program.from_source(renamed))
     assert classification_multiset(whole) == classification_multiset(concat)
-
-
-def test_invalid_jobs_rejected():
-    with pytest.raises(ValueError):
-        run_whole_poly(link_sources({"a.c": "int f(void) { return 1; }\n"}), jobs=0)
