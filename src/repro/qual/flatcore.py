@@ -1,13 +1,10 @@
 """Flat-array (CSR) solver core with zero-copy serialisation.
 
-The condensation pipeline of :mod:`repro.qual.solver` is already
-algorithmically linear, but its state is a Python-object graph:
-``QualVar`` keys in dicts, ``QualConstraint`` witnesses per edge,
-per-solve adjacency lists of lists.  On a 10k-constraint chain the
-solver spends most of its time allocating and hashing those objects —
-and a warm cache start spends even longer *unpickling* them.
-
-This module rebuilds the atomic system as flat integer arrays:
+Every solve of :mod:`repro.qual.solver` runs here.  An
+:class:`~repro.qual.solver.IndexedSystem` has already categorised the
+atomic constraints into integer-indexed bound masks and a deduplicated
+edge list; this module condenses and propagates over flat integer
+arrays:
 
 * ``uids[i]``          — variable uid per dense index ``i``;
 * ``indptr``/``indices`` — the deduplicated variable/variable edge set
@@ -22,39 +19,44 @@ This module rebuilds the atomic system as flat integer arrays:
 Condensation and the two topological propagation passes run as loops
 over those arrays.  Two kernels implement the same pipeline:
 
-* a **fast path** (:func:`fast_available`) using numpy +
-  ``scipy.sparse.csgraph``: C-compiled Tarjan for the condensation,
-  vectorised bound folding, and — the trick that removes the last
-  Python-per-edge loop — bound propagation as multi-source
-  *reachability*.  On the condensation DAG the final least value of a
-  component is the join of the initial masks of every component that
-  reaches it, and a join of masks decomposes into ``(OR & pos) |
-  (AND & neg)``; with only a handful of distinct initial masks (a
-  product lattice has few), one unweighted C ``dijkstra`` sweep per
+* a **stdlib kernel** (:func:`_kernel_slow`): iterative Tarjan and
+  topological loops over lists and ``array('q')``/``memoryview``
+  buffers.  It takes every system below ``_FLAT_FAST_MIN`` variables +
+  edges, every system on an install without numpy, and every lattice
+  wider than the 62 mask bits the int64 buffers hold (its masks are
+  plain Python ints);
+* a **fast kernel** (:func:`_kernel_fast`) using numpy +
+  ``scipy.sparse.csgraph``, for large systems: C-compiled Tarjan for
+  the condensation, vectorised bound folding, and — the trick that
+  removes the last Python-per-edge loop — bound propagation as
+  multi-source *reachability*.  On the condensation DAG the final least
+  value of a component is the join of the initial masks of every
+  component that reaches it, and a join of masks decomposes into ``(OR
+  & pos) | (AND & neg)``; with only a handful of distinct initial masks
+  (a product lattice has few), one unweighted C ``dijkstra`` sweep per
   distinct mask computes the whole fixpoint.  The greatest solution is
   the dual meet over the transposed DAG.  A Python topological loop
   over the deduplicated DAG edges remains as the in-kernel fallback
-  when a pathological system has too many distinct masks;
-* a **stdlib path** on ``array('q')``/``memoryview`` buffers with the
-  same iterative Tarjan the object solver uses, so environments without
-  numpy (one CI matrix leg runs this way) get identical answers.
+  when a pathological system has too many distinct masks.  numpy and
+  scipy are imported on the first solve that reaches the threshold
+  (:func:`fast_available` probes on demand), never when this module is
+  imported, so a run that only solves small systems never loads them.
 
 Both kernels compute the identical unique fixpoints as
-:meth:`repro.qual.solver.IndexedSystem.solve` and
-:func:`repro.qual.solver.solve_reference` — including identical
-:class:`~repro.qual.solver.SolverStats` (``propagation_steps`` counts
-an edge relaxation exactly when the object pipeline would have, i.e.
-when the propagating component's final mask is non-extremal); the
-testkit's ``flatcore`` oracle family and the hypothesis properties in
-``tests/test_flatcore.py`` enforce that byte-for-byte.
+:func:`repro.qual.solver.solve_reference` — and identical
+:class:`~repro.qual.solver.SolverStats` to each other
+(``propagation_steps`` counts one relaxation per deduplicated DAG edge
+whose propagating component's final mask is non-extremal); the
+testkit's ``flatcore`` oracle and the hypothesis properties in
+``tests/test_flatcore.py`` enforce that.
 
 Serialisation (:meth:`FlatSystem.to_bytes` /
 :meth:`FlatSystem.from_buffer`) is a versioned binary section — a
 struct header followed by the raw little-endian ``int64`` buffers — so
 the analysis cache can ``mmap`` an entry and wrap the arrays zero-copy
-(``numpy.frombuffer`` or ``memoryview.cast``) instead of unpickling an
-object graph.  The solved least/greatest masks may be appended as an
-optional section: the fixpoints are unique, so persisting them is the
+(``memoryview.cast``, no numpy) instead of unpickling an object graph.
+The solved least/greatest masks may be appended as an optional
+section: the fixpoints are unique, so persisting them is the
 same memoisation discipline the cache already applies to parsing and
 constraint generation, and re-solving the mmapped system reproduces
 them exactly (round-trip tested).
@@ -124,6 +126,18 @@ FLAG_DUP_UIDS = 2
 #: and the kernel falls back to its Python topological loop.
 _REACH_MAX_MASKS = 8
 
+#: Systems with at least this many variables + deduplicated edges run on
+#: the numpy/scipy kernel when it is importable; smaller ones, and every
+#: system on a numpy-free install, run on the stdlib kernel.  The fast
+#: kernel's fixed cost (~0.3 ms a solve, plus importing numpy and scipy
+#: on first use) only pays for itself on large graphs.
+_FLAT_FAST_MIN = 1024
+
+_UNPROBED = object()
+#: numpy/scipy handles, ``None`` (stdlib kernel only), or ``_UNPROBED``
+#: until the first solve that could use them.
+_FAST = _UNPROBED
+
 
 def _probe_fast():
     """numpy + scipy.sparse.csgraph, or ``None`` (stdlib kernel only).
@@ -142,12 +156,35 @@ def _probe_fast():
     return (np, csr_matrix, connected_components, dijkstra)
 
 
-_FAST = _probe_fast()
+def _fast_modules():
+    """The numpy/scipy handles, probed (and imported) on the first call."""
+    global _FAST
+    if _FAST is _UNPROBED:
+        _FAST = _probe_fast()
+    return _FAST
 
 
 def fast_available() -> bool:
-    """Whether the numpy/scipy kernel is active."""
-    return _FAST is not None
+    """Whether the numpy/scipy kernel is available (probes on first call)."""
+    return _fast_modules() is not None
+
+
+def _pick_fast(size: int, lattice: QualifierLattice, kernel: str | None):
+    """The numpy/scipy handles if a solve of ``size`` variables + edges
+    should run the fast kernel, else ``None``.
+
+    ``kernel`` is ``None`` (choose by ``_FLAT_FAST_MIN``), ``"fast"`` or
+    ``"stdlib"``.  Lattices wider than the int64 buffers always run on
+    the stdlib kernel, whose masks are plain Python ints.
+    """
+    if kernel == "stdlib" or (kernel is None and size < _FLAT_FAST_MIN):
+        return None
+    if not fits_flat(lattice):
+        return None
+    fast = _fast_modules()
+    if fast is None and kernel == "fast":
+        raise RuntimeError("the numpy/scipy flat-core kernel is unavailable")
+    return fast
 
 
 def fits_flat(lattice: QualifierLattice) -> bool:
@@ -162,10 +199,10 @@ def fits_flat(lattice: QualifierLattice) -> bool:
 
 def _i64_bytes(seq) -> bytes:
     """Little-endian int64 bytes of any int sequence."""
-    if _FAST is not None:
-        np = _FAST[0]
-        if isinstance(seq, np.ndarray):
-            return seq.astype("<i8", copy=False).tobytes()
+    if hasattr(seq, "astype"):
+        # A numpy array from the fast kernel: one buffer copy through its
+        # own methods, so serialising never imports numpy.
+        return seq.astype("<i8", copy=False).tobytes()
     if isinstance(seq, array) and seq.typecode == "q":
         buf = seq
     else:
@@ -177,17 +214,14 @@ def _i64_bytes(seq) -> bytes:
 
 
 def _wrap_i64(view: memoryview, offset: int, count: int):
-    """Zero-copy int64 window over ``view`` (numpy array when the fast
-    path is active, else a cast memoryview; big-endian hosts copy)."""
+    """Zero-copy int64 window over ``view`` (a cast memoryview; big-endian
+    hosts copy)."""
     end = offset + count * 8
     if end > len(view):
         raise ValueError(
             f"flat section overruns buffer: need {end} bytes, have {len(view)}"
         )
     window = view[offset:end]
-    if _FAST is not None:
-        np = _FAST[0]
-        return np.frombuffer(window, dtype="<i8")
     if sys.byteorder == "little":
         return window.cast("q")
     out = array("q")  # pragma: no cover - exotic hosts
@@ -389,9 +423,9 @@ def _kernel_fast(
 
     # Propagate and count relaxations.  In topological processing order
     # every component's mask is final before it propagates, so the
-    # object pipeline's step counter — one step per deduplicated DAG
-    # edge whose propagating component is non-extremal at visit time —
-    # equals a count over *final* masks, which vectorises.
+    # stdlib kernel's step counter — one step per deduplicated DAG edge
+    # whose propagating component is non-extremal at visit time — equals
+    # a count over *final* masks, which vectorises.
     steps = 0
     if dag_edges and have_lower and not bool((comp_low == bottom).all()):
         comp_low = _dag_propagate_fast(
@@ -418,24 +452,25 @@ def _kernel_fast(
 
 def _kernel_slow(
     n: int,
-    indptr: Sequence[int],
-    indices: Sequence[int],
+    succ: Sequence[Sequence[int]] | None,
     low_items: Iterable[tuple[int, int]],
     up_items: Iterable[tuple[int, int]],
     lattice: QualifierLattice,
 ) -> _KernelResult:
-    """Pure-stdlib kernel: iterative Tarjan over the CSR arrays, then the
-    same deduplicated-DAG propagation passes as the fast path."""
+    """Pure-stdlib kernel: iterative Tarjan over successor lists (``succ``,
+    ``None`` when there are no edges), then one topological propagation
+    pass per direction over the deduplicated condensation DAG."""
     pos = lattice._pos_mask
     neg = lattice._neg_mask
     bottom = neg
     top = pos
 
-    comp = _tarjan_csr(n, indptr, indices)
-    ncomp = (max(comp) + 1) if n else 0
-    sizes = [0] * ncomp
-    for c in comp:
-        sizes[c] += 1
+    if succ is None:
+        comp = range(n)
+        sizes = [1] * n
+    else:
+        comp, sizes = _tarjan(n, succ)
+    ncomp = len(sizes)
 
     comp_low = [bottom] * ncomp
     have_lower = False
@@ -453,108 +488,130 @@ def _kernel_slow(
         a = comp_high[ci]
         comp_high[ci] = (a & mask & pos) | ((a | mask) & neg)
 
-    pairs: set[tuple[int, int]] = set()
-    for u in range(n):
-        cu = comp[u]
-        for k in range(indptr[u], indptr[u + 1]):
-            cv = comp[indices[k]]
-            if cu != cv:
-                pairs.add((cu, cv))
-    dag = sorted(pairs)
-    dag_edges = len(dag)
+    # Condensation DAG: deduplicated successor components per component.
+    # Ids are reverse-topological, so descending ids visit sources first
+    # and ascending ids visit sinks first.
+    dag: dict[int, set[int]] = {}
+    if succ is not None:
+        for u in range(n):
+            cu = comp[u]
+            for v in succ[u]:
+                cv = comp[v]
+                if cu != cv:
+                    out = dag.get(cu)
+                    if out is None:
+                        dag[cu] = {cv}
+                    else:
+                        out.add(cv)
+    dag_edges = sum(map(len, dag.values()))
 
     steps = 0
-    if dag and have_lower:
-        for k in range(dag_edges - 1, -1, -1):
-            u, v = dag[k]
-            a = comp_low[u]
-            if a == bottom:
-                continue
-            steps += 1
-            b = comp_low[v]
-            merged = ((a | b) & pos) | (a & b & neg)
-            if merged != b:
-                comp_low[v] = merged
+    if dag:
+        order = sorted(dag)
+        if have_lower:
+            for cu in reversed(order):
+                a = comp_low[cu]
+                if a == bottom:
+                    continue
+                out = dag[cu]
+                steps += len(out)
+                for cv in out:
+                    b = comp_low[cv]
+                    comp_low[cv] = ((a | b) & pos) | (a & b & neg)
+        if have_upper:
+            for cu in order:
+                b = comp_high[cu]
+                for cv in dag[cu]:
+                    a = comp_high[cv]
+                    if a == top:
+                        continue
+                    steps += 1
+                    b = (a & b & pos) | ((a | b) & neg)
+                comp_high[cu] = b
 
-    if dag and have_upper:
-        for u, v in sorted(pairs, key=lambda p: (p[1], p[0])):
-            a = comp_high[v]
-            if a == top:
-                continue
-            steps += 1
-            b = comp_high[u]
-            merged = (a & b & pos) | ((a | b) & neg)
-            if merged != b:
-                comp_high[u] = merged
-
-    low = [comp_low[comp[i]] for i in range(n)]
-    high = [comp_high[comp[i]] for i in range(n)]
     violation = -1
-    for i in range(n):
-        a, b = low[i], high[i]
-        if (a & ~b & pos) | (b & ~a & neg):
-            violation = i
-            break
+    if have_lower and have_upper:
+        bad = {
+            c
+            for c in range(ncomp)
+            if (comp_low[c] & ~comp_high[c] & pos) | (comp_high[c] & ~comp_low[c] & neg)
+        }
+        if bad:
+            violation = next(i for i in range(n) if comp[i] in bad)
 
+    if succ is None:
+        low, high = comp_low, comp_high
+    else:
+        low = [comp_low[c] for c in comp]
+        high = [comp_high[c] for c in comp]
     collapsed = sum(1 for s in sizes if s > 1)
     largest = max(sizes, default=0)
     return _KernelResult(low, high, ncomp, collapsed, largest, dag_edges, steps, violation)
 
 
-def _tarjan_csr(n: int, indptr: Sequence[int], indices: Sequence[int]) -> list[int]:
-    """Iterative Tarjan over CSR arrays; component ids in completion
-    order (every inter-component edge goes from a higher id to a lower
-    one, the invariant both propagation passes rely on)."""
+def _tarjan(n: int, succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Iterative Tarjan over successor lists.  Returns (component id per
+    node, component sizes); ids are in completion order, so every
+    inter-component edge goes from a higher id to a lower one, the
+    invariant both propagation passes rely on."""
     index_of = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)
     stack: list[int] = []
     comp = [-1] * n
-    ncomp = 0
+    sizes: list[int] = []
     counter = 0
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work: list[list[int]] = [[root, indptr[root]]]
+        if not succ[root]:
+            # No successors: a component of its own, complete at once.
+            index_of[root] = counter
+            counter += 1
+            comp[root] = len(sizes)
+            sizes.append(1)
+            continue
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = 1
+        work = [(root, iter(succ[root]))]
         while work:
-            frame = work[-1]
-            v, pi = frame
-            descended = False
-            end = indptr[v + 1]
-            while pi < end:
-                w = indices[pi]
-                pi += 1
+            v, successors = work[-1]
+            for w in successors:
                 if index_of[w] == -1:
-                    frame[1] = pi
+                    if not succ[w]:
+                        index_of[w] = counter
+                        counter += 1
+                        comp[w] = len(sizes)
+                        sizes.append(1)
+                        continue
                     index_of[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = 1
-                    work.append([w, indptr[w]])
-                    descended = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w] and index_of[w] < low[v]:
                     low[v] = index_of[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index_of[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index_of[v]:
+                    cid = len(sizes)
+                    size = 0
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp[w] = cid
+                        size += 1
+                        if w == v:
+                            break
+                    sizes.append(size)
+    return comp, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -567,18 +624,17 @@ class _LiveIndex:
     no-rehydration counterpart of :class:`FlatSystem` for solutions of
     in-memory solves (the variable objects already exist)."""
 
-    __slots__ = ("n", "_vars", "_var_index")
+    __slots__ = ("n", "_vars", "index_of")
 
     def __init__(self, vars_: list[QualVar], var_index: dict[QualVar, int]):
         self.n = len(vars_)
         self._vars = vars_
-        self._var_index = var_index
+        #: Dense index of a variable, or ``None`` (the dict's own ``get``:
+        #: solution lookups are hot).
+        self.index_of = var_index.get
 
     def var(self, i: int) -> QualVar:
         return self._vars[i]
-
-    def index_of(self, var: QualVar) -> int | None:
-        return self._var_index.get(var)
 
 
 def _stats_from(counts, n: int, m: int, result: _KernelResult) -> SolverStats:
@@ -684,8 +740,9 @@ class FlatSystem:
         n = len(vars_)
         m = len(system._edge_u)
 
-        if _FAST is not None and m:
-            np = _FAST[0]
+        fast = _pick_fast(n + m, lattice, None)
+        if fast is not None:
+            np = fast[0]
             eu = np.array(system._edge_u, dtype=np.int64)
             ev = np.array(system._edge_v, dtype=np.int64)
             order = np.lexsort((ev, eu))
@@ -739,19 +796,6 @@ class FlatSystem:
             dup_uids=len(set(uid_list)) != n,
         )
 
-    @classmethod
-    def from_constraints(
-        cls,
-        constraints: Iterable[QualConstraint],
-        lattice: QualifierLattice,
-        extra_vars: Iterable[QualVar] = (),
-    ) -> "FlatSystem":
-        system = IndexedSystem(lattice)
-        system.add_many(constraints)
-        for var in extra_vars:
-            system.add_var(var)
-        return cls.from_indexed(system)
-
     # -- lazy rehydration ----------------------------------------------
     def name(self, i: int) -> str:
         """Variable name at dense index ``i`` (decoded once, memoised)."""
@@ -792,8 +836,9 @@ class FlatSystem:
     def solve_masks(self) -> _KernelResult:
         """Run condensation + propagation over the buffers."""
         n = self.n
-        if _FAST is not None:
-            np = _FAST[0]
+        fast = _pick_fast(n + self.m, self.lattice, None)
+        if fast is not None:
+            np = fast[0]
             indptr = np.asarray(self.indptr, dtype=np.int64)
             indices = np.asarray(self.indices, dtype=np.int64)
             eu = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
@@ -816,10 +861,14 @@ class FlatSystem:
                 return result
         bottom = self.lattice.bottom.mask
         top = self.lattice.top.mask
+        succ = None
+        if self.m:
+            ptr = self.indptr.tolist()
+            ind = self.indices.tolist()
+            succ = [ind[ptr[u] : ptr[u + 1]] for u in range(n)]
         return _kernel_slow(
             n,
-            self.indptr,
-            self.indices,
+            succ,
             ((i, m) for i, m in enumerate(self.lower) if m != bottom),
             ((i, m) for i, m in enumerate(self.upper) if m != top),
             self.lattice,
@@ -1072,88 +1121,63 @@ def flat_solve(
     constraints: Iterable[QualConstraint],
     lattice: QualifierLattice,
     extra_vars: Iterable[QualVar] = (),
+    kernel: str | None = None,
 ) -> Solution:
-    """Drop-in flat-core counterpart of :func:`repro.qual.solver.solve`.
+    """:func:`repro.qual.solver.solve` with the kernel chosen explicitly.
 
-    Same solutions, same exceptions: unsatisfiable systems re-run the
-    indexed system's provenance-tracking blame reconstruction so the
-    error (message, witness, path) is byte-identical to ``solve``'s.
-    This is the entry point the testkit's ``flatcore`` oracle family
-    pits against the other two solvers; it works with or without numpy
-    (stdlib CSR + Tarjan when the fast path is unavailable).
+    ``kernel`` is ``"fast"`` (numpy/scipy; ``RuntimeError`` when they are
+    unavailable), ``"stdlib"``, or ``None`` for the production choice by
+    system size.  The testkit's ``flatcore`` oracle pits the two kernels
+    against each other through this entry point.
     """
     system = IndexedSystem(lattice)
     system.add_many(constraints)
-    for var in extra_vars:
-        system.add_var(var)
+    return solve_indexed(system, extra_vars, kernel)
+
+
+def solve_indexed(
+    system: IndexedSystem,
+    extra_vars: Iterable[QualVar] = (),
+    kernel: str | None = None,
+) -> Solution:
+    """The body of :meth:`IndexedSystem.solve` (see :func:`_pick_fast`
+    for ``kernel``).
+
+    Returns a lazy :class:`FlatSolution` over the live variable index;
+    on unsatisfiability raises the indexed system's provenance-tracking
+    blame for the first violated variable.
+    """
     conflict = system._ground_conflict
     if conflict is not None:
         assert isinstance(conflict.lhs, LatticeElement)
         assert isinstance(conflict.rhs, LatticeElement)
         raise UnsatisfiableError(conflict, conflict.lhs, conflict.rhs)
+    for var in extra_vars:
+        system.add_var(var)
 
-    if _FAST is not None and fits_flat(lattice):
-        solution = solve_indexed(system)
-        if solution is not None:
-            return solution
-
-    n = len(system._vars)
-    indptr, indices = _csr_from_edges(n, system._edge_u, system._edge_v)
-    result = _kernel_slow(
-        n,
-        indptr,
-        indices,
-        system._lower_mask.items(),
-        system._upper_mask.items(),
-        lattice,
-    )
-    if result.violation >= 0:
-        i = result.violation
-        raise system._unsat_error(
-            system._vars[i], int(result.low[i]), int(result.high[i])
-        )
-    counts = (
-        system._constraints,
-        system._edges_before,
-        system._ground_checks,
-        system._constant_bounds,
-    )
-    return FlatSolution(
-        lattice,
-        _LiveIndex(system._vars, system._var_index),
-        result.low,
-        result.high,
-        _stats_from(counts, n, len(indices), result),
-    )
-
-
-def solve_indexed(system: IndexedSystem) -> Solution | None:
-    """Fast-path kernel for :meth:`IndexedSystem.solve`.
-
-    Returns a lazy :class:`FlatSolution` over the live variable index —
-    identical values, iteration order, stats, and blame as the object
-    pipeline — or ``None`` when the fast kernel is unavailable or
-    declined, in which case the caller runs its own loops.
-    """
-    if _FAST is None:
-        return None
     lattice = system.lattice
-    if not fits_flat(lattice):
-        return None
-    np = _FAST[0]
     n = len(system._vars)
     m = len(system._edge_u)
-    eu = np.array(system._edge_u, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-    ev = np.array(system._edge_v, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
     lower = system._lower_mask
     upper = system._upper_mask
-    low_idx = np.fromiter(lower.keys(), dtype=np.int64, count=len(lower))
-    low_masks = np.fromiter(lower.values(), dtype=np.int64, count=len(lower))
-    up_idx = np.fromiter(upper.keys(), dtype=np.int64, count=len(upper))
-    up_masks = np.fromiter(upper.values(), dtype=np.int64, count=len(upper))
-    result = _kernel_fast(n, eu, ev, low_idx, low_masks, up_idx, up_masks, lattice)
+    result = None
+    fast = _pick_fast(n + m, lattice, kernel)
+    if fast is not None:
+        np = fast[0]
+        eu = np.array(system._edge_u, dtype=np.int64)
+        ev = np.array(system._edge_v, dtype=np.int64)
+        low_idx = np.fromiter(lower.keys(), dtype=np.int64, count=len(lower))
+        low_masks = np.fromiter(lower.values(), dtype=np.int64, count=len(lower))
+        up_idx = np.fromiter(upper.keys(), dtype=np.int64, count=len(upper))
+        up_masks = np.fromiter(upper.values(), dtype=np.int64, count=len(upper))
+        result = _kernel_fast(n, eu, ev, low_idx, low_masks, up_idx, up_masks, lattice)
     if result is None:
-        return None
+        succ = None
+        if m:
+            succ = [[] for _ in range(n)]
+            for u, v in zip(system._edge_u, system._edge_v):
+                succ[u].append(v)
+        result = _kernel_slow(n, succ, lower.items(), upper.items(), lattice)
 
     if result.violation >= 0:
         i = result.violation

@@ -24,16 +24,20 @@ realises that bound with a three-stage pipeline:
    representative nodes; all members of a ``<=``-cycle are equal in
    every solution.
 3. **Propagation** — a single pass per direction over the condensation
-   DAG in (reverse-)topological order, entirely on integer bitmasks
-   (:meth:`~repro.qual.lattice.QualifierLattice.join_mask` /
-   :meth:`~repro.qual.lattice.QualifierLattice.meet_mask`), replaces the
-   generic worklist fixpoint:
+   DAG in (reverse-)topological order, entirely on integer bitmasks,
+   replaces the generic worklist fixpoint:
 
    * **least solution** — start every variable at lattice bottom and
      push constant *lower* bounds forward along ``kappa <= kappa'``
      edges, sources first;
    * **greatest solution** — dually, start at top and push constant
      *upper* bounds backward, sinks first.
+
+Stages 2 and 3 run over flat integer arrays in
+:mod:`repro.qual.flatcore`: a pure-stdlib kernel for small systems (and
+for lattices too wide for int64 masks), and a numpy/scipy kernel,
+imported on first use, for systems of at least ``_FLAT_FAST_MIN``
+variables + edges.
 
 The system is satisfiable iff the least solution satisfies every upper
 bound; equivalently iff ``least(kappa) <= greatest(kappa)`` for all
@@ -202,13 +206,6 @@ def _as_element(q: QualVar | LatticeElement) -> LatticeElement | None:
     return q if isinstance(q, LatticeElement) else None
 
 
-#: Systems with fewer than this many variables + deduplicated edges stay
-#: on the object pipeline: the flat kernel's fixed numpy/scipy overhead
-#: (~0.3 ms) only pays for itself on large graphs, and most lambda runs
-#: solve dozens of systems of a few hundred nodes each.
-_FLAT_FAST_MIN = 1024
-
-
 class IndexedSystem:
     """An atomic constraint system categorised into integer-indexed form.
 
@@ -367,167 +364,12 @@ class IndexedSystem:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def _tarjan(self, n: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
-        """Iterative Tarjan SCC.  Returns (component id per node, component
-        sizes).  Component ids are assigned in completion order, so every
-        inter-component edge goes from a higher id to a lower id — ids in
-        descending order are a topological order of the condensation."""
-        index_of = [-1] * n
-        low = [0] * n
-        on_stack = bytearray(n)
-        stack: list[int] = []
-        comp = [-1] * n
-        sizes: list[int] = []
-        counter = 0
-        for root in range(n):
-            if index_of[root] != -1:
-                continue
-            work: list[tuple[int, int]] = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index_of[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = 1
-                descended = False
-                neighbors = adj[v]
-                while pi < len(neighbors):
-                    w = neighbors[pi]
-                    pi += 1
-                    if index_of[w] == -1:
-                        work[-1] = (v, pi)
-                        work.append((w, 0))
-                        descended = True
-                        break
-                    if on_stack[w] and index_of[w] < low[v]:
-                        low[v] = index_of[w]
-                if descended:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index_of[v]:
-                    size = 0
-                    cid = len(sizes)
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = 0
-                        comp[w] = cid
-                        size += 1
-                        if w == v:
-                            break
-                    sizes.append(size)
-        return comp, sizes
-
     def solve(self, extra_vars: Iterable[QualVar] = ()) -> Solution:
-        """Solve the indexed system; see module docstring for the pipeline."""
-        lattice = self.lattice
-        if self._ground_conflict is not None:
-            c = self._ground_conflict
-            assert isinstance(c.lhs, LatticeElement) and isinstance(c.rhs, LatticeElement)
-            raise UnsatisfiableError(c, c.lhs, c.rhs)
-        for var in extra_vars:
-            self._index(var)
+        """Solve the indexed system on the flat-array kernels of
+        :mod:`repro.qual.flatcore` (see module docstring)."""
+        from .flatcore import solve_indexed
 
-        n = len(self._vars)
-        if n + len(self._edges) >= _FLAT_FAST_MIN:
-            # Large systems: hand the already-categorised arrays to the
-            # flat CSR kernel (scipy condensation + vectorised folding).
-            # It returns the identical Solution — same dicts, same stats,
-            # same first-violation blame — or None when unavailable, in
-            # which case the object pipeline below runs as before.
-            from . import flatcore
-
-            solution = flatcore.solve_indexed(self)
-            if solution is not None:
-                return solution
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self._edges:
-            adj[u].append(v)
-        comp, sizes = self._tarjan(n, adj)
-        ncomp = len(sizes)
-
-        # Condensation DAG with one witness edge per component pair.
-        comp_succ: dict[int, dict[int, QualConstraint]] = {}
-        dag_edges = 0
-        for (u, v), c in self._edges.items():
-            cu, cv = comp[u], comp[v]
-            if cu == cv:
-                continue
-            succ = comp_succ.setdefault(cu, {})
-            if cv not in succ:
-                succ[cv] = c
-                dag_edges += 1
-
-        bottom_mask = lattice.bottom.mask
-        top_mask = lattice.top.mask
-        join_mask = lattice.join_mask
-        meet_mask = lattice.meet_mask
-        steps = 0
-
-        # Least solution: sources first (descending component id).
-        comp_low = [bottom_mask] * ncomp
-        for i, mask in self._lower_mask.items():
-            ci = comp[i]
-            comp_low[ci] = join_mask(comp_low[ci], mask)
-        for cu in range(ncomp - 1, -1, -1):
-            m = comp_low[cu]
-            if m == bottom_mask:
-                continue
-            for cv in comp_succ.get(cu, ()):
-                merged = join_mask(comp_low[cv], m)
-                steps += 1
-                if merged != comp_low[cv]:
-                    comp_low[cv] = merged
-
-        # Greatest solution: sinks first (ascending component id), along
-        # reversed edges.
-        comp_pred: dict[int, list[int]] = {}
-        for cu, succ in comp_succ.items():
-            for cv in succ:
-                comp_pred.setdefault(cv, []).append(cu)
-        comp_high = [top_mask] * ncomp
-        for i, mask in self._upper_mask.items():
-            ci = comp[i]
-            comp_high[ci] = meet_mask(comp_high[ci], mask)
-        for cv in range(ncomp):
-            m = comp_high[cv]
-            if m == top_mask:
-                continue
-            for cu in comp_pred.get(cv, ()):
-                merged = meet_mask(comp_high[cu], m)
-                steps += 1
-                if merged != comp_high[cu]:
-                    comp_high[cu] = merged
-
-        # Satisfiability: every variable's forced lower bound must sit
-        # below its forced upper bound.
-        leq_mask = lattice.leq_mask
-        for i, var in enumerate(self._vars):
-            ci = comp[i]
-            if not leq_mask(comp_low[ci], comp_high[ci]):
-                raise self._unsat_error(var, comp_low[ci], comp_high[ci])
-
-        from_mask = lattice.from_mask
-        least = {var: from_mask(comp_low[comp[i]]) for i, var in enumerate(self._vars)}
-        greatest = {var: from_mask(comp_high[comp[i]]) for i, var in enumerate(self._vars)}
-        stats = SolverStats(
-            variables=n,
-            constraints=self._constraints,
-            ground_checks=self._ground_checks,
-            constant_bounds=self._constant_bounds,
-            edges_before=self._edges_before,
-            edges_after=len(self._edges),
-            sccs=ncomp,
-            collapsed_sccs=sum(1 for s in sizes if s > 1),
-            largest_scc=max(sizes, default=0),
-            dag_edges=dag_edges,
-            propagation_steps=steps,
-        )
-        return Solution(lattice, least, greatest, stats)
+        return solve_indexed(self, extra_vars)
 
     # ------------------------------------------------------------------
     # Failure explanation (cold path)

@@ -6,15 +6,18 @@ exactly, and yields a :class:`Disagreement` when they do not:
 Lambda programs (:func:`check_lambda`):
 
 ``solver``
-    the bitmask condensation pipeline (:func:`repro.qual.solver.solve`)
+    the production solver (:func:`repro.qual.solver.solve`, flat-core kernels)
     vs. the reference worklist solver (``solve_reference``) over the
     program's constraint system — per-variable least *and* greatest
     solutions, and the satisfiability verdict;
 ``flatcore``
-    the flat-array CSR kernel (:func:`repro.qual.flatcore.flat_solve`)
-    vs. the production pipeline over the same system — same
-    per-variable fingerprints and verdict (runs on both the lambda and
-    the C side);
+    the numpy/scipy flat-core kernel vs. the stdlib kernel
+    (:func:`repro.qual.flatcore.flat_solve` with ``kernel="fast"`` and
+    ``kernel="stdlib"``) over the same system — same per-variable
+    fingerprints, verdict, :class:`~repro.qual.solver.SolverStats` and
+    unsat blame (runs on both the lambda and the C side; skipped when
+    numpy/scipy are not installed, where ``solver`` still checks the
+    stdlib kernel against ``solve_reference``);
 ``metamorphic-rename`` / ``metamorphic-deadlet``
     alpha-renaming all binders / inserting dead ``let`` bindings must
     not change the least qualified type or the verdict, in both the
@@ -89,7 +92,7 @@ from ..lam.ast import Expr, walk
 from ..lam.eval import Evaluator, Store, StuckError
 from ..lam.infer import Inference, QualTypeError, QualifiedLanguage, infer
 from ..qual import qtypes as _qtypes
-from ..qual.flatcore import flat_solve
+from ..qual.flatcore import fast_available, flat_solve
 from ..qual.qtypes import StdCon, StdType, StdVar, strip
 from ..qual.solver import (
     Solution,
@@ -127,8 +130,8 @@ class EngineConfig:
 
     solve_fn: Callable = solve
     reference_fn: Callable = solve_reference
-    #: The flat-array CSR kernel the ``flatcore`` oracle pits against
-    #: ``solve_fn`` (same fingerprints, same verdicts).
+    #: Solve with an explicit flat-core ``kernel=`` ("fast"/"stdlib");
+    #: the ``flatcore`` oracle pits the two kernels against each other.
     flat_fn: Callable = flat_solve
     run_poly_fn: Callable = run_poly
     jobs: int = 2
@@ -167,6 +170,32 @@ def _solve_verdict(solve_fn: Callable, constraints, lattice, extra_vars=()):
     except Exception as exc:  # a crashing engine is its own disagreement
         return ("crash", f"{type(exc).__name__}: {exc}")
     return ("sat", _solution_fingerprint(solution))
+
+
+def _kernel_verdict(flat_fn: Callable, kernel: str, constraints, lattice, extra_vars):
+    """('sat', fingerprint, stats) or ('unsat', full blame) on one kernel."""
+    try:
+        solution = flat_fn(constraints, lattice, extra_vars=extra_vars, kernel=kernel)
+    except UnsatisfiableError as exc:
+        return ("unsat", exc.explain())
+    except Exception as exc:  # a crashing kernel is its own disagreement
+        return ("crash", f"{type(exc).__name__}: {exc}")
+    return ("sat", _solution_fingerprint(solution), str(solution.stats))
+
+
+def _diff_kernels(cfg: EngineConfig, constraints, lattice, extra_vars) -> Disagreement | None:
+    """The ``flatcore`` oracle: numpy kernel vs stdlib kernel on one system
+    (nothing to compare when numpy/scipy are not installed)."""
+    if not fast_available():
+        return None
+    a = _kernel_verdict(cfg.flat_fn, "fast", constraints, lattice, extra_vars)
+    b = _kernel_verdict(cfg.flat_fn, "stdlib", constraints, lattice, extra_vars)
+    if (d := _diff_verdicts("flatcore", a, b)) is not None:
+        return d
+    if a != b:
+        what = "stats" if a[0] == "sat" else "unsat blame"
+        return Disagreement("flatcore", f"{what} differ: {a[-1]!r} vs {b[-1]!r}")
+    return None
 
 
 def _diff_verdicts(name: str, a, b) -> Disagreement | None:
@@ -415,13 +444,8 @@ def check_lambda(
 
     if cfg.enabled("flatcore") and inference is not None:
         mentioned = list(inference.solution.least)
-        a = _solve_verdict(
-            cfg.solve_fn, inference.constraints, language.lattice, mentioned
-        )
-        b = _solve_verdict(
-            cfg.flat_fn, inference.constraints, language.lattice, mentioned
-        )
-        if (d := _diff_verdicts("flatcore", a, b)) is not None:
+        d = _diff_kernels(cfg, inference.constraints, language.lattice, mentioned)
+        if d is not None:
             out.append(d)
 
     for polymorphic in (False, True):
@@ -499,15 +523,11 @@ def check_c_corpus(
             out.append(d)
 
     if cfg.enabled("flatcore") and baseline is not None:
-        constraints = baseline.inference.constraints
         extra = [p.var for p in baseline.positions]
-        a = _solve_verdict(
-            cfg.solve_fn, constraints, baseline.solution.lattice, extra
+        d = _diff_kernels(
+            cfg, baseline.inference.constraints, baseline.solution.lattice, extra
         )
-        b = _solve_verdict(
-            cfg.flat_fn, constraints, baseline.solution.lattice, extra
-        )
-        if (d := _diff_verdicts("flatcore", a, b)) is not None:
+        if d is not None:
             out.append(d)
 
     if cfg.enabled("cache"):
