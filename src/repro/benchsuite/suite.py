@@ -125,17 +125,22 @@ def run_benchmark(
 ) -> BenchmarkRow:
     """Full Table-2 experiment for one benchmark.
 
-    ``cache`` routes parsing and constraint generation through a
-    content-addressed :class:`~repro.constinfer.cache.AnalysisCache`.
-    It changes no count: warm cache solves reproduce cold
-    classifications exactly.
+    ``cache`` routes both engine runs through a content-addressed
+    :class:`~repro.constinfer.cache.AnalysisCache`.  It changes no
+    count: warm cache solves reproduce cold classifications exactly.
+    The source is parsed at most once, by the first run that misses;
+    its ``Program`` is handed on to the other run, and the parse is
+    charged to the row and to the run that performed it.
     """
     if cache is not None:
         source = generate_source(spec)
         lines = source.count("\n") + 1
         mono = cache.cached_run(source, spec.name, "mono")
-        poly = cache.cached_run(source, spec.name, "poly")
-        compile_seconds = mono.timings.parse_seconds if mono.timings else 0.0
+        program = mono.inference.program if mono.inference is not None else None
+        poly = cache.cached_run(source, spec.name, "poly", program=program)
+        compile_seconds = sum(
+            run.timings.parse_seconds for run in (mono, poly) if run.timings
+        )
         return make_row(spec.name, lines, spec.description, compile_seconds, mono, poly)
 
     program, compile_seconds, lines = load_program(spec)

@@ -3,14 +3,14 @@
 The expensive stages of an inference run are parsing and constraint
 generation; solving is comparatively cheap (see EXPERIMENTS.md's stage
 breakdown).  Both stages are pure functions of (source text, qualifier
-lattice, engine mode, inference options, analysis code), so their
-outputs can be memoised on disk and shared across processes: a warm
-rerun of the benchmark suite loads the generated constraint system and
-goes straight to the solver.
+lattice, engine mode, inference options, analysis code), so the solved
+constraint system can be memoised on disk and shared across processes:
+a warm rerun of the benchmark suite skips parse, congen and the solve.
 
 Keys are SHA-256 digests over every input that can change the output:
 
-* the *kind* of entry (``"program"`` or ``"constraints"``),
+* the *kind* of entry (``"constraints"`` for :meth:`AnalysisCache.cached_run`;
+  the checker and the whole-program engine add their own kinds),
 * a fingerprint of the analysis source code itself (the cfront,
   constinfer, and qual packages), so editing the analyser invalidates
   every entry rather than serving stale results,
@@ -36,10 +36,8 @@ leading magic bytes at load time:
   graph is ever rebuilt — variables are rehydrated lazily, only for
   the positions diagnostics touch, and the recorded solution (the
   system's *unique* extreme fixpoints) is served without re-solving.
-* **v1 pickle** — everything else (parsed programs, systems the flat
-  core cannot hold, entries written by older code): a pickle blob of
-  ``(constraints, positions)`` re-solved on load.  Still fully
-  supported as the fallback read path.
+* **v1 pickle** — lattices wider than the flat core's 62 mask bits: a
+  pickle of ``(constraints, positions)`` re-solved on load.
 
 A truncated or corrupt binary entry (bad magic, short buffer,
 ``struct.error``) is a miss exactly like a corrupt pickle — never an
@@ -79,7 +77,6 @@ from .engine import (
     run_mono,
     run_poly,
     run_polyrec,
-    _solve,
 )
 
 #: Bump to invalidate every existing cache entry regardless of code
@@ -216,8 +213,8 @@ class _MemoryTier:
 _MISS = object()
 
 #: Default bound of the per-handle memory tier.  Small enough that even
-#: pathological values (whole parsed programs) stay modest; a resident
-#: daemon raises it per session.
+#: the largest values (decoded constraint systems of whole programs)
+#: stay modest; a resident daemon raises it per session.
 DEFAULT_MEMORY_ENTRIES = 256
 
 
@@ -425,38 +422,22 @@ class AnalysisCache:
         return None
 
     # -- pipeline-level helpers ----------------------------------------
-    def cached_program(self, source: str, name: str) -> tuple[Program, float, bool]:
-        """Parse ``source`` through the cache.
-
-        Returns ``(program, parse_seconds, from_cache)``;
-        ``parse_seconds`` is the wall time actually spent this call
-        (loading a pickle on a hit, full lex/parse/sema on a miss).
-        """
-        key = self.key("program", source=source)
-        start = time.perf_counter()
-        cached = self.get(key)
-        if isinstance(cached, Program):
-            return cached, time.perf_counter() - start, True
-        program = Program.from_source(source, name)
-        self.put(key, program)
-        return program, time.perf_counter() - start, False
-
     def cached_run(
         self,
         source: str,
         name: str,
         mode: str,
         lattice: QualifierLattice | None = None,
+        program: Program | None = None,
         **inference_options,
     ) -> InferenceRun:
         """Run one engine over ``source`` through the cache.
 
-        Cold path: parse (itself cached), run the engine, then store the
-        generated constraint system — preferably as a v2 binary entry
-        (the flat-array system of :mod:`repro.qual.flatcore` with its
-        solved fixpoints), falling back to the v1
-        ``(constraints, positions)`` pickle for systems the flat core
-        cannot encode.
+        Cold path: run the engine over ``program`` (parsed from
+        ``source`` and charged to ``parse_seconds`` if not given), then
+        store the engine's own solved system as a v2 binary entry, or as
+        a v1 pickle for lattices the flat core cannot hold.  The run's
+        ``inference.program`` can be handed to the next engine.
 
         Warm path: a v2 entry is ``mmap``-ed and its buffers wrapped
         zero-copy — the recorded solution is served directly (the
@@ -501,16 +482,18 @@ class AnalysisCache:
                 mode, solution, positions, constraint_count, end - start, None, timings
             )
 
-        program, parse_seconds, _ = self.cached_program(source, name)
+        parse_seconds = 0.0
+        if program is None:
+            parse_start = time.perf_counter()
+            program = Program.from_source(source, name)
+            parse_seconds = time.perf_counter() - parse_start
         engine = {"mono": run_mono, "poly": run_poly, "polyrec": run_polyrec}[mode]
         run = engine(program, lattice, **inference_options)
-        blob = _encode_entry(
-            run.inference.constraints, run.inference.positions, lattice
-        )
+        blob = _encode_entry(run.system, run.solution, run.positions)
         if blob is not None:
             self.put_bytes(key, blob)
         else:
-            self.put(key, (run.inference.constraints, run.inference.positions))
+            self.put(key, (run.inference.constraints, run.positions))
         timings = StageTimings(
             parse_seconds=parse_seconds,
             congen_seconds=run.timings.congen_seconds if run.timings else 0.0,
@@ -528,47 +511,18 @@ class AnalysisCache:
         )
 
 
-def _recover_lattice(constraints, lattice: QualifierLattice | None):
-    """The lattice a cached system solves over: the caller's, the one the
-    constraints' own elements carry, or the engines' default."""
-    from ..qual.qualifiers import const_lattice
+def _encode_entry(system, solution, positions):
+    """Encode an engine's solved indexed system as a v2 binary entry, or
+    ``None`` when the flat core cannot hold its lattice.
 
-    if lattice is not None:
-        return lattice
-    for c in constraints:
-        for side in (c.lhs, c.rhs):
-            owner = getattr(side, "lattice", None)
-            if owner is not None:
-                return owner
-    return const_lattice()
-
-
-def _encode_entry(constraints, positions, lattice: QualifierLattice | None):
-    """Encode a constraint system as a v2 binary entry, or ``None`` when
-    the flat core cannot hold it (oversized lattice masks, or a system
-    that fails to solve — satisfiable runs are the only ones that reach
-    the cache, but the encoder stays defensive).
-
-    The flat section records the *solved* system, so a warm start pays
+    The flat section records the solution too, so a warm start pays
     neither unpickling nor solving; the tail is a pickle of primitive
     per-position rows referencing variables by dense index.
     """
-    lat = _recover_lattice(constraints, lattice)
-    if not flatcore.fits_flat(lat):
-        return None
-    from ..qual.solver import IndexedSystem
-
-    system = IndexedSystem(lat)
-    system.add_many(constraints)
-    for p in positions:
-        system.add_var(p.var)
-    if system._ground_conflict is not None:
+    if not flatcore.fits_flat(system.lattice):
         return None
     flat = flatcore.FlatSystem.from_indexed(system)
-    try:
-        flat.attach_solution()
-    except UnsatisfiableError:
-        return None
+    flat.record_solution(solution)
     index = system._var_index
     rows = [
         (p.function, p.where, p.depth, index[p.var], p.declared, p.line)
@@ -610,16 +564,12 @@ def _decode_entry(buf):
 
 
 def _solve_cached(constraints, positions, lattice: QualifierLattice | None):
-    """Solve a cache-loaded constraint system.
-
-    The pickled constraints carry their own (re-interned) lattice
-    elements, so the solve needs no live :class:`ConstInference`; the
-    lattice is recovered from the constraints themselves when the caller
-    passed ``None``.
-    """
+    """Solve a cache-loaded v1 constraint system over the lattice the
+    engine used (the key's, or the engines' default const lattice)."""
+    from ..qual.qualifiers import const_lattice
     from ..qual.solver import solve
 
-    lat = _recover_lattice(constraints, lattice)
+    lat = lattice if lattice is not None else const_lattice()
     try:
         return solve(constraints, lat, extra_vars=[p.var for p in positions])
     except UnsatisfiableError as exc:

@@ -31,7 +31,6 @@ from ..qual.solver import (
     IndexedSystem,
     Solution,
     UnsatisfiableError,
-    solve,
 )
 from .analysis import ConstInference, ConstPosition
 from .fdg import FunctionDependenceGraph
@@ -88,6 +87,8 @@ class InferenceRun:
     elapsed_seconds: float
     inference: ConstInference | None = field(repr=False, default=None)
     timings: StageTimings | None = None
+    #: The solved indexed system, which the analysis cache encodes.
+    system: IndexedSystem | None = field(repr=False, default=None)
 
     def classify(self, position: ConstPosition) -> Classification:
         return self.solution.classify(position.var, "const")
@@ -148,7 +149,7 @@ def run_mono(
     inference.analyze_global_initializers()
 
     congen_done = time.perf_counter()
-    solution = _solve(inference)
+    system, solution = _solve(inference)
     end = time.perf_counter()
     timings = StageTimings(
         congen_seconds=congen_done - start, solve_seconds=end - congen_done
@@ -161,6 +162,7 @@ def run_mono(
         end - start,
         inference,
         timings,
+        system,
     )
 
 
@@ -194,7 +196,7 @@ def run_poly(
     inference.analyze_global_initializers()
 
     congen_done = time.perf_counter()
-    solution = _solve(inference)
+    system, solution = _solve(inference)
     end = time.perf_counter()
     timings = StageTimings(
         congen_seconds=congen_done - start - generalize_seconds,
@@ -209,6 +211,7 @@ def run_poly(
         end - start,
         inference,
         timings,
+        system,
     )
 
 
@@ -315,7 +318,7 @@ def run_polyrec(
             inference.analyze_function(fdef)
         inference.analyze_global_initializers()
 
-        solution = _solve_incremental(base_system, inference, base_constraints)
+        system, solution = _solve_incremental(base_system, inference, base_constraints)
         summary = _signature_summary(inference, solution)
         if summary == previous_summary:
             break
@@ -328,7 +331,7 @@ def run_polyrec(
             for name in program.functions
         }
     else:
-        solution = _solve_incremental(base_system, inference, base_constraints)
+        system, solution = _solve_incremental(base_system, inference, base_constraints)
 
     elapsed = time.perf_counter() - start
     return InferenceRun(
@@ -338,6 +341,7 @@ def run_polyrec(
         len(inference.constraints),
         elapsed,
         inference,
+        system=system,
     )
 
 
@@ -393,22 +397,29 @@ def _wrap_unsat(exc: UnsatisfiableError) -> ConstInferenceError:
     return ConstInferenceError(message)
 
 
-def _solve(inference: ConstInference) -> Solution:
-    extra = [p.var for p in inference.positions]
+def _solve(inference: ConstInference) -> tuple[IndexedSystem, Solution]:
+    """Index the constraints, then the position variables, and solve."""
+    system = IndexedSystem(inference.lattice)
     try:
-        return solve(inference.constraints, inference.lattice, extra_vars=extra)
+        solution = system.solve(
+            [p.var for p in inference.positions], inference.constraints
+        )
     except UnsatisfiableError as exc:
         raise _wrap_unsat(exc) from exc
+    return system, solution
 
 
 def _solve_incremental(
     base_system: IndexedSystem, inference: ConstInference, base_constraints: int
-) -> Solution:
+) -> tuple[IndexedSystem, Solution]:
     """Solve the current round's system by forking the pre-indexed shared
     prefix and adding only the constraints generated after it."""
     system = base_system.fork()
-    system.add_many(inference.constraints[base_constraints:])
     try:
-        return system.solve(extra_vars=[p.var for p in inference.positions])
+        solution = system.solve(
+            [p.var for p in inference.positions],
+            inference.constraints[base_constraints:],
+        )
     except UnsatisfiableError as exc:
         raise _wrap_unsat(exc) from exc
+    return system, solution

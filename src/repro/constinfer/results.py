@@ -219,9 +219,10 @@ def format_solver_stats(rows: list[BenchmarkRow]) -> str:
 def format_stage_timings(rows: list[BenchmarkRow]) -> str:
     """Per-benchmark stage breakdown of both engine runs, in
     milliseconds — parse, constraint generation, solve, and (poly only)
-    generalisation.  Cache-warm rows, which skipped parse and congen,
-    are flagged ``cached``; their congen column is the time spent
-    loading the pickled constraint system."""
+    generalisation.  A row's source is parsed once, so only the run
+    that parsed it shows a parse time.  Cache-warm rows, which skipped
+    parse and congen, are flagged ``cached``; their congen column is the
+    time spent loading the cached constraint system."""
     header = (
         f"{'Name':<15} {'Engine':>6} {'Parse(ms)':>10} {'Congen(ms)':>11} "
         f"{'Solve(ms)':>10} {'Gen(ms)':>9}  Source"

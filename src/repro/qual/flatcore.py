@@ -896,10 +896,16 @@ class FlatSystem:
     def attach_solution(self) -> "FlatSolution":
         """Solve and record the solution buffers for serialisation."""
         solution = self.solve()
-        self.sol_low = solution._low
-        self.sol_high = solution._high
+        self.record_solution(solution)
+        return solution
+
+    def record_solution(self, solution: "FlatSolution") -> None:
+        """Record a solve of this system (or of the indexed system it was
+        snapshotted from) for serialisation: buffers and SCC/DAG counts."""
         stats = solution.stats
         assert stats is not None
+        self.sol_low = solution._low
+        self.sol_high = solution._high
         self.sol_stats = (
             stats.sccs,
             stats.collapsed_sccs,
@@ -907,7 +913,6 @@ class FlatSystem:
             stats.dag_edges,
             stats.propagation_steps,
         )
-        return solution
 
     def stored_solution(self) -> "FlatSolution | None":
         """The recorded solution section, or ``None`` if absent."""

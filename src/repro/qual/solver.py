@@ -364,11 +364,17 @@ class IndexedSystem:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(self, extra_vars: Iterable[QualVar] = ()) -> Solution:
-        """Solve the indexed system on the flat-array kernels of
-        :mod:`repro.qual.flatcore` (see module docstring)."""
+    def solve(
+        self,
+        extra_vars: Iterable[QualVar] = (),
+        constraints: Iterable[QualConstraint] = (),
+    ) -> Solution:
+        """Categorise ``constraints`` into the system, then solve on the
+        flat-array kernels of :mod:`repro.qual.flatcore` (see module
+        docstring); indexing is timed as solver work, as in :func:`solve`."""
         from .flatcore import solve_indexed
 
+        self.add_many(constraints)
         return solve_indexed(self, extra_vars)
 
     # ------------------------------------------------------------------
@@ -427,9 +433,7 @@ def solve(
     ``extra_vars`` names variables that should appear in the solution
     even if no constraint mentions them (they solve to [bottom, top]).
     """
-    system = IndexedSystem(lattice)
-    system.add_many(constraints)
-    return system.solve(extra_vars)
+    return IndexedSystem(lattice).solve(extra_vars, constraints)
 
 
 def _violated_upper(

@@ -33,7 +33,9 @@ C corpora (:func:`check_c_corpus`):
     solve vs. solve_reference over ``run_poly``'s constraint system;
 ``cache``
     a cold :meth:`~repro.constinfer.cache.AnalysisCache.cached_run`
-    vs. the warm rerun of the same source;
+    vs. the warm rerun of the same source, and the solution the cold
+    run recorded in its entry vs. a fresh solve of the stored system
+    (values and :class:`~repro.qual.solver.SolverStats`);
 ``whole-concat``
     linking the corpus's units vs. analysing their textual
     concatenation (classification multiset, ``static`` names compared
@@ -86,7 +88,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cfront.sema import Program
-from ..constinfer.cache import AnalysisCache
+from ..constinfer.cache import AnalysisCache, _decode_entry
 from ..constinfer.engine import InferenceRun, run_poly
 from ..lam.ast import Expr, walk
 from ..lam.eval import Evaluator, Store, StuckError
@@ -232,6 +234,21 @@ def _run_fingerprint(run: InferenceRun, exact_vars: bool = True) -> tuple:
             row.append((p.var.name, p.var.uid))
         rows.append(tuple(row))
     return (tuple(rows), run.constraint_count)
+
+
+def _diff_stored_solution(cache: AnalysisCache, source: str) -> Disagreement | None:
+    """A cold poly entry's recorded solution (the engine's own solve)
+    must equal a fresh solve of the stored system, stats included."""
+    key = cache.key("constraints", source=source, mode="poly")
+    try:
+        system, _positions = _decode_entry(cache._path(key).read_bytes())
+        stored, fresh = system.stored_solution(), system.solve()
+        same = (stored.least, stored.greatest, stored.stats) == (
+            fresh.least, fresh.greatest, fresh.stats
+        )
+    except Exception as exc:
+        return Disagreement("cache", f"cold entry unreadable: {exc}")
+    return None if same else Disagreement("cache", "recorded solution != fresh solve")
 
 
 def _normalized_multiset(run: InferenceRun) -> list[tuple]:
@@ -555,6 +572,8 @@ def check_c_corpus(
                     out.append(
                         Disagreement("cache", "cold cached run differs from direct run")
                     )
+                if (d := _diff_stored_solution(cache, concat)) is not None:
+                    out.append(d)
 
     whole = None
     if any(

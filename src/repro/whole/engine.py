@@ -290,7 +290,7 @@ def run_whole_poly(
     inference._shared_band = None
 
     congen_done = time.perf_counter()
-    solution = _solve(inference)
+    solution = _solve(inference)[1]
     end = time.perf_counter()
     timings = StageTimings(
         congen_seconds=congen_done - start - generalize_seconds,

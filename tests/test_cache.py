@@ -32,20 +32,20 @@ def classifications(run):
 
 class TestRawStore:
     def test_get_miss_then_put_then_hit(self, cache):
-        key = cache.key("program", source="x")
+        key = cache.key("constraints", source="x")
         assert cache.get(key) is None
         cache.put(key, {"v": 1})
         assert cache.get(key) == {"v": 1}
         assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (1, 1, 1)
 
     def test_corrupt_entry_is_a_miss(self, cache):
-        key = cache.key("program", source="y")
+        key = cache.key("constraints", source="y")
         cache.put(key, [1, 2, 3])
         cache._path(key).write_bytes(b"not a pickle")
         assert cache.get(key) is None
 
     def test_truncated_entry_is_a_miss(self, cache):
-        key = cache.key("program", source="z")
+        key = cache.key("constraints", source="z")
         cache.put(key, list(range(100)))
         blob = cache._path(key).read_bytes()
         cache._path(key).write_bytes(blob[: len(blob) // 2])
@@ -59,7 +59,9 @@ class TestKeys:
         assert a == b
 
     def test_key_separates_source(self, cache):
-        assert cache.key("program", source="a") != cache.key("program", source="b")
+        assert cache.key("constraints", source="a") != cache.key(
+            "constraints", source="b"
+        )
 
     def test_key_separates_mode(self, cache):
         mono = cache.key("constraints", source=SOURCE, mode="mono")
@@ -67,7 +69,7 @@ class TestKeys:
         assert mono != poly
 
     def test_key_separates_kind(self, cache):
-        assert cache.key("program", source=SOURCE) != cache.key(
+        assert cache.key("qlint-diagnostics", source=SOURCE) != cache.key(
             "constraints", source=SOURCE
         )
 
@@ -92,15 +94,6 @@ class TestKeys:
     def test_lattice_key_canonical(self):
         assert lattice_key(None) == "default"
         assert lattice_key(const_lattice()) == lattice_key(const_lattice())
-
-
-class TestCachedProgram:
-    def test_cold_then_warm(self, cache):
-        cold, _, from_cache_cold = cache.cached_program(SOURCE, "t")
-        assert not from_cache_cold
-        warm, _, from_cache_warm = cache.cached_program(SOURCE, "t")
-        assert from_cache_warm
-        assert sorted(warm.functions) == sorted(cold.functions)
 
 
 class TestCachedRun:
@@ -165,3 +158,63 @@ class TestSuiteIntegration:
         report = format_stage_timings(rows)
         assert "cached" in report
         assert "Congen(ms)" in report
+
+
+class TestParseOnce:
+    """A cached Table 2 row parses its source at most once: the first
+    engine run that misses parses it, hands the ``Program`` on, and the
+    parse is charged to that run and to the row."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        original = Program.from_source.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Program, "from_source", classmethod(counting))
+        return calls
+
+    def test_cold_row_parses_once(self, tmp_path, parses):
+        stats = CacheStats()
+        [row] = benchmark_rows((scaling_spec(1),), cache_dir=str(tmp_path), cache_stats=stats)
+        assert len(parses) == 1
+        assert (stats.hits, stats.misses, stats.stores) == (0, 2, 2)
+        assert row.mono_timings.parse_seconds > 0
+        assert row.poly_timings.parse_seconds == 0.0
+        assert row.compile_seconds == row.mono_timings.parse_seconds
+
+    def test_warm_row_parses_nothing(self, tmp_path, parses):
+        benchmark_rows((scaling_spec(1),), cache_dir=str(tmp_path))
+        parses.clear()
+        [row] = benchmark_rows((scaling_spec(1),), cache_dir=str(tmp_path))
+        assert parses == []
+        assert row.compile_seconds == 0.0
+
+    def test_partial_row_charges_the_parse_to_the_missing_run(self, tmp_path, parses):
+        spec = scaling_spec(1)
+        [cold] = benchmark_rows((spec,), cache_dir=str(tmp_path))
+        cache = AnalysisCache(tmp_path)
+        poly_key = cache.key("constraints", source=generate_source(spec), mode="poly")
+        cache._path(poly_key).unlink()
+        parses.clear()
+
+        [row] = benchmark_rows((spec,), cache_dir=str(tmp_path))
+        assert len(parses) == 1
+        assert row.mono_timings.from_cache
+        assert not row.poly_timings.from_cache
+        assert row.mono_timings.parse_seconds == 0.0
+        assert row.poly_timings.parse_seconds > 0
+        assert row.compile_seconds == row.poly_timings.parse_seconds
+        key = lambda r: (r.declared, r.mono, r.poly, r.total_possible)
+        assert key(row) == key(cold)
+
+    def test_given_program_is_not_parsed_again(self, cache, parses):
+        program = Program.from_source(SOURCE, "t")
+        parses.clear()
+        run = cache.cached_run(SOURCE, "t", "poly", program=program)
+        assert parses == []
+        assert run.timings.parse_seconds == 0.0
+        assert run.inference.program is program

@@ -1,7 +1,8 @@
 """The v2 binary cache encoding: cold runs store flat-array (QCE2)
 entries, warm runs mmap them zero-copy and serve the recorded solution,
-v1 pickle entries written by older code still load, and corrupt binary
-entries of every flavour are misses — never exceptions."""
+v1 pickle entries (lattices too wide for the flat core) load through
+the pickle path, and corrupt binary entries of every flavour are
+misses — never exceptions."""
 
 import pickle
 import struct
@@ -104,8 +105,8 @@ class TestBinaryFormat:
 
 class TestPickleFallback:
     def test_v1_pickle_entry_still_loads(self, cache, monkeypatch):
-        """Entries written before the binary format (a plain pickle of
-        ``(constraints, positions)``) are re-solved and served."""
+        """v1 entries (a plain pickle of ``(constraints, positions)``)
+        are re-solved and served."""
         monkeypatch.setattr(cache_mod, "_encode_entry", lambda *a: None)
         cold = cache.cached_run(SOURCE, "t.c", "mono")
         assert constraint_entry(cache).read_bytes()[:4] != ENTRY_MAGIC
@@ -135,12 +136,21 @@ class TestPickleFallback:
 
     def test_oversized_lattice_falls_back_to_pickle(self, cache):
         """_encode_entry declines lattices whose masks exceed the flat
-        core's 62-bit budget; cached_run then writes a v1 pickle."""
+        core's 62-bit budget; cached_run then writes a v1 pickle, and the
+        warm run re-solves it to the cold run's classifications."""
         from repro.qual.lattice import QualifierLattice, positive
+        from repro.qual.qualifiers import CONST
 
-        wide = QualifierLattice(positive(f"q{i}") for i in range(70))
-        blob = cache_mod._encode_entry([], [], wide)
-        assert blob is None
+        wide = QualifierLattice([CONST] + [positive(f"q{i}") for i in range(69)])
+        cold = cache.cached_run(SOURCE, "t.c", "mono", lattice=wide)
+        key = cache.key("constraints", source=SOURCE, lattice=wide, mode="mono")
+        assert cache._path(key).read_bytes()[:4] != ENTRY_MAGIC
+
+        warm = cache.cached_run(SOURCE, "t.c", "mono", lattice=wide)
+        assert warm.timings and warm.timings.from_cache
+        assert cache.stats.binary_hits == 0
+        assert classifications(warm) == classifications(cold)
+        assert fingerprint(warm) == fingerprint(cold)
 
 
 class TestCorruptBinaryEntries:
@@ -207,3 +217,80 @@ class TestCorruptBinaryEntries:
 
     def test_empty_file_is_a_miss(self, cache):
         self.warm_after(cache, lambda p: p.write_bytes(b""))
+
+
+def reindexed_entry(run):
+    """The QCE2 entry the way it used to be built, kept as the oracle:
+    index the run's constraints again, register the positions, and solve
+    the snapshot (``attach_solution``)."""
+    from repro.qual.flatcore import FlatSystem
+    from repro.qual.solver import IndexedSystem
+
+    constraints = run.inference.constraints
+    system = IndexedSystem(run.inference.lattice)
+    system.add_many(constraints)
+    for p in run.positions:
+        system.add_var(p.var)
+    flat = FlatSystem.from_indexed(system)
+    flat.attach_solution()
+    rows = [
+        (p.function, p.where, p.depth, system._var_index[p.var], p.declared, p.line)
+        for p in run.positions
+    ]
+    flat_blob = flat.to_bytes()
+    meta_blob = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+    header = _ENTRY_HEADER.pack(
+        ENTRY_MAGIC, ENTRY_VERSION, 0, len(flat_blob), len(meta_blob)
+    )
+    return b"".join((header, flat_blob, meta_blob))
+
+
+def _corpus_sources():
+    from repro.benchsuite.suite import generate_source, scaling_spec
+    from repro.testkit.cgen import generate_c_corpus
+
+    # sweep-2 is past the flat core's fast-kernel threshold, so with
+    # numpy installed it checks a solution the numpy kernel recorded.
+    return [
+        ("sweep-1", generate_source(scaling_spec(1))),
+        ("sweep-2", generate_source(scaling_spec(2))),
+        ("cgen-3", generate_c_corpus(3).concat_source()),
+    ]
+
+
+class TestEngineSystemEntry:
+    """A cold run stores the engine's own solved system; the entry is
+    byte-identical to one built by indexing and solving again."""
+
+    @pytest.mark.parametrize("mode", ["mono", "poly", "polyrec"])
+    @pytest.mark.parametrize(
+        "name,source", _corpus_sources(), ids=["sweep-1", "sweep-2", "cgen-3"]
+    )
+    def test_entry_matches_reindexed_oracle(self, tmp_path, mode, name, source):
+        cache = AnalysisCache(tmp_path)
+        cold = cache.cached_run(source, name, mode)
+        key = cache.key("constraints", source=source, mode=mode)
+        assert cache._path(key).read_bytes() == reindexed_entry(cold)
+
+    def test_cold_run_indexes_and_solves_once(self, tmp_path, monkeypatch):
+        from repro.cfront.sema import Program
+        from repro.constinfer.engine import run_poly
+        from repro.qual.flatcore import FlatSystem
+        from repro.qual.solver import IndexedSystem
+
+        calls = []
+        add_many = IndexedSystem.add_many
+        monkeypatch.setattr(
+            IndexedSystem,
+            "add_many",
+            lambda self, cs: calls.append("add_many") or add_many(self, cs),
+        )
+        monkeypatch.setattr(
+            FlatSystem, "solve", lambda self: calls.append("flat-solve")
+        )
+        run_poly(Program.from_source(SOURCE, "t.c"))
+        bare = list(calls)
+        calls.clear()
+        AnalysisCache(tmp_path).cached_run(SOURCE, "t.c", "poly")
+        assert calls == bare
+        assert "flat-solve" not in calls

@@ -39,9 +39,9 @@ def classifications(run):
 class TestCorruptEntries:
     def test_truncated_entry_is_a_miss(self, cache):
         cold = cache.cached_run(SOURCE, "t.c", "mono")
-        [program_entry, constraint_entry] = entry_paths(cache)
-        for path in (program_entry, constraint_entry):
-            path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+        [constraint_entry] = entry_paths(cache)
+        blob = constraint_entry.read_bytes()
+        constraint_entry.write_bytes(blob[: len(blob) // 2])
         before = cache.stats.misses
         rerun = cache.cached_run(SOURCE, "t.c", "mono")
         assert classifications(rerun) == classifications(cold)
@@ -50,13 +50,13 @@ class TestCorruptEntries:
 
     def test_garbage_bytes_are_a_miss(self, cache):
         cache.cached_run(SOURCE, "t.c", "mono")
-        for path in entry_paths(cache):
-            path.write_bytes(b"\x80\x05not a pickle at all")
+        [constraint_entry] = entry_paths(cache)
+        constraint_entry.write_bytes(b"\x80\x05not a pickle at all")
         rerun = cache.cached_run(SOURCE, "t.c", "mono")
         assert rerun.positions  # recomputed, not raised
 
     def test_empty_entry_is_a_miss(self, cache):
-        key = cache.key("program", source=SOURCE)
+        key = cache.key("constraints", source=SOURCE)
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"")
@@ -74,7 +74,7 @@ class TestCorruptEntries:
         assert not (rerun.timings and rerun.timings.from_cache)
 
     def test_directory_in_entry_place_is_a_miss(self, cache):
-        key = cache.key("program", source=SOURCE)
+        key = cache.key("constraints", source=SOURCE)
         cache._path(key).mkdir(parents=True)
         assert cache.get(key) is None
 
@@ -112,8 +112,8 @@ class TestCorruptBinaryEntries:
         assert classifications(rerun) == classifications(cold)
 
     def test_mixed_v1_and_v2_stores(self, cache, monkeypatch):
-        """A store carrying v1 pickle entries (older writer) next to v2
-        binary ones serves both encodings from the same keyspace."""
+        """A store carrying v1 pickle entries (the wide-lattice writer)
+        next to v2 binary ones serves both encodings from one keyspace."""
         monkeypatch.setattr(cache_mod, "_encode_entry", lambda *a: None)
         v1_cold = cache.cached_run(SOURCE, "t.c", "mono")
         monkeypatch.undo()
@@ -177,7 +177,7 @@ class TestConcurrentWriters:
         assert classifications(warm) == classifications(cold)
 
     def test_racing_put_last_writer_wins(self, cache):
-        key = cache.key("program", source="x")
+        key = cache.key("constraints", source="x")
         cache.put(key, {"writer": 1})
         cache.put(key, {"writer": 2})
         assert cache.get(key) == {"writer": 2}
