@@ -1,60 +1,30 @@
-"""Microbenchmarks of the flat-array (CSR) solver core: the kernel on
-prebuilt buffers (what a warm mmap start pays), the end-to-end
-``flat_solve`` (buffers built from constraint objects), and the
-serialise/wrap round trip behind the binary cache."""
+"""Microbenchmarks of the flat-array solver core: ``flat_solve`` on
+each kernel (constraint objects -> indexed edges and bound masks ->
+condensation and both propagation passes -> lazy solution) over the
+benchmark graph shapes."""
 
 import pytest
 
 from test_solver_bench import chain_system, cyclic_system, fanout_system
 
-from repro.qual.flatcore import FlatSystem, flat_solve
+from repro.qual.flatcore import fast_available, flat_solve
 from repro.qual.qualifiers import const_lattice
-from repro.qual.solver import IndexedSystem
 
 
-def flat_of(lattice, constraints):
-    system = IndexedSystem(lattice)
-    system.add_many(constraints)
-    return FlatSystem.from_indexed(system)
-
-
+@pytest.mark.parametrize("kernel", ["stdlib", "fast"])
 @pytest.mark.parametrize(
     "shape", ["chain", "fanout", "dense_scc"], ids=["chain10k", "fanout10k", "scc5k"]
 )
-def test_bench_flat_kernel(benchmark, shape):
-    """Condensation + both propagation passes over prebuilt arrays."""
+def test_bench_flat_kernel(benchmark, shape, kernel):
+    """One solve of a 10k-variable chain or fan-out, or a 5k-node SCC."""
+    if kernel == "fast" and not fast_available():
+        pytest.skip("numpy/scipy kernel unavailable")
     lattice = const_lattice()
     maker = {
         "chain": lambda: chain_system(lattice, 10_000),
         "fanout": lambda: fanout_system(lattice, 10_000),
         "dense_scc": lambda: cyclic_system(lattice, 5_000),
     }[shape]
-    _, constraints = maker()
-    flat = flat_of(lattice, constraints)
-    result = benchmark(flat.solve_masks)
-    assert result.violation == -1
-
-
-def test_bench_flat_solve_end_to_end(benchmark):
-    """Constraint objects -> flat buffers -> kernel -> lazy solution."""
-    lattice = const_lattice()
-    variables, constraints = chain_system(lattice, 10_000)
-    solution = benchmark(flat_solve, constraints, lattice)
-    assert solution.least_of(variables[-1]).has("const")
-
-
-def test_bench_flat_roundtrip(benchmark):
-    """Serialise -> wrap zero-copy -> read the stored solution."""
-    lattice = const_lattice()
-    variables, constraints = chain_system(lattice, 10_000)
-    flat = flat_of(lattice, constraints)
-    flat.attach_solution()
-    blob = flat.to_bytes()
-
-    def warm():
-        system = FlatSystem.from_buffer(blob)
-        return system.stored_solution()
-
-    solution = benchmark(warm)
-    assert solution is not None
+    variables, constraints = maker()
+    solution = benchmark(flat_solve, constraints, lattice, kernel=kernel)
     assert solution.least_of(variables[-1]).has("const")

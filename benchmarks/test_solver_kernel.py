@@ -13,8 +13,9 @@ Three layers are measured separately so regressions localise:
   :meth:`IndexedSystem.fork` versus re-categorising from scratch, the
   ``run_polyrec`` round pattern.
 
-``scripts/bench_snapshot.py`` records the headline numbers into
-``BENCH_solver.json`` for the cross-PR perf trajectory.
+End-to-end measures (the Table 2 suite, a CI lint job, editor
+turnaround) live in ``qbench/``; ``BENCH_solver.json`` keeps the
+numbers recorded before it as frozen history.
 """
 
 import pytest

@@ -90,7 +90,7 @@ def scaling_spec(scale: int) -> BenchmarkSpec:
 
     Same position mix and seeds as ``benchmarks/test_scaling.py`` (mix
     ``(10, 10, 9, 10) * scale``, natural length), so sweep results are
-    comparable across the test suite, the CLI, and bench_snapshot.
+    comparable across the test suite, the CLI, and the benchmarks.
     """
     return BenchmarkSpec(
         name=f"sweep-{scale}",
@@ -157,7 +157,7 @@ def run_benchmark(
 
 def _run_benchmark_task(
     spec: BenchmarkSpec, cache_dir: str | None
-) -> tuple[BenchmarkRow, tuple[int, int, int, int, int]]:
+) -> tuple[BenchmarkRow, tuple[int, int, int, int]]:
     """Process-pool worker: one benchmark end to end.
 
     Top-level so it pickles; returns the worker's cache counters
@@ -167,9 +167,9 @@ def _run_benchmark_task(
     row = run_benchmark(spec, cache=cache)
     counters = (
         (cache.stats.hits, cache.stats.misses, cache.stats.stores,
-         cache.stats.binary_hits, cache.stats.memory_hits)
+         cache.stats.memory_hits)
         if cache
-        else (0, 0, 0, 0, 0)
+        else (0, 0, 0, 0)
     )
     return row, counters
 
@@ -200,10 +200,8 @@ def benchmark_rows(
                 )
             )
         if cache_stats is not None:
-            for _row, (hits, misses, stores, binary_hits, memory_hits) in outcomes:
-                cache_stats.merge(
-                    CacheStats(hits, misses, stores, binary_hits, memory_hits)
-                )
+            for _row, counters in outcomes:
+                cache_stats.merge(CacheStats(*counters))
         return [row for row, _counters in outcomes]
 
     cache = AnalysisCache(cache_dir) if cache_dir else None

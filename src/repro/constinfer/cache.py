@@ -2,10 +2,10 @@
 
 The expensive stages of an inference run are parsing and constraint
 generation; solving is comparatively cheap (see EXPERIMENTS.md's stage
-breakdown).  Both stages are pure functions of (source text, qualifier
-lattice, engine mode, inference options, analysis code), so the solved
-constraint system can be memoised on disk and shared across processes:
-a warm rerun of the benchmark suite skips parse, congen and the solve.
+breakdown).  All of them are pure functions of (source text, qualifier
+lattice, engine mode, inference options, analysis code), so a run's
+answer can be memoised on disk and shared across processes: a warm
+rerun of the benchmark suite skips parse, congen and the solve.
 
 Keys are SHA-256 digests over every input that can change the output:
 
@@ -24,74 +24,49 @@ concurrent writers — the process-pool suite runner — can race
 harmlessly: last writer wins with an identical value.  Unreadable or
 corrupt entries are treated as misses and rewritten.
 
-Two entry encodings coexist under the same keyspace, dispatched by the
-leading magic bytes at load time:
-
-* **v2 binary** (``b"QCE2"``) — the preferred encoding for constraint
-  entries: a small header, the flat-array constraint system of
-  :mod:`repro.qual.flatcore` (CSR edges, bitmask bounds, name blob,
-  and the solved fixpoints) as raw little-endian buffers, then a pickle
-  of primitive per-position rows.  Warm starts ``mmap`` the file and
-  wrap the buffers zero-copy; no ``QualVar``/``QualConstraint`` object
-  graph is ever rebuilt — variables are rehydrated lazily, only for
-  the positions diagnostics touch, and the recorded solution (the
-  system's *unique* extreme fixpoints) is served without re-solving.
-* **v1 pickle** — lattices wider than the flat core's 62 mask bits: a
-  pickle of ``(constraints, positions)`` re-solved on load.
-
-A truncated or corrupt binary entry (bad magic, short buffer,
-``struct.error``) is a miss exactly like a corrupt pickle — never an
-exception out of the cache layer.
+A ``"constraints"`` entry stores the run's *answer*, which is all a
+Table 2 row reads: a pickle of one primitive row per
+:class:`~repro.constinfer.analysis.ConstPosition` (its fields, the
+variable's name and uid, and the least and greatest solution as lattice
+masks), the solve's :class:`~repro.qual.solver.SolverStats`, and the
+constraint count.  Masks are plain ints, so every lattice width uses
+the same entry.  A warm run rebuilds the positions and a plain
+:class:`~repro.qual.solver.Solution` over their variables; it never
+sees the constraint system.  A truncated, corrupt or wrong-shape entry
+is a miss exactly like a missing one — never an exception out of the
+cache layer.
 
 Every handle also fronts the directory with a small bounded LRU of
-decoded entries (:class:`_MemoryTier`), so a long-lived process — the
-``repro.serve`` daemon, or a warm benchmark loop — answers repeated
-lookups of the same key without touching disk at all.  Memory hits are
-counted separately (``CacheStats.memory_hits``); the tier is dropped on
-pickling, so process-pool workers start cold and share nothing but the
-directory.
+decoded :meth:`~AnalysisCache.get`/:meth:`~AnalysisCache.get_bytes`
+values (:class:`_MemoryTier`), so a long-lived process — the
+``repro.serve`` daemon — answers repeated lookups of the same key
+without touching disk at all.  Memory hits are counted separately
+(``CacheStats.memory_hits``); the tier is dropped on pickling, so
+process-pool workers start cold and share nothing but the directory.
 """
 
 from __future__ import annotations
 
 import hashlib
-import mmap
 import os
 import pickle
-import struct
 import tempfile
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..cfront.sema import Program
-from ..qual import flatcore
-from ..qual.lattice import QualifierLattice
-from ..qual.solver import UnsatisfiableError
+from ..qual.lattice import LatticeError, QualifierLattice
+from ..qual.qtypes import QualVar
+from ..qual.qualifiers import const_lattice
+from ..qual.solver import Solution, SolverStats
 from .analysis import ConstPosition
-from .engine import (
-    InferenceRun,
-    StageTimings,
-    _wrap_unsat,
-    run_mono,
-    run_poly,
-    run_polyrec,
-)
+from .engine import InferenceRun, StageTimings, run_mono, run_poly, run_polyrec
 
 #: Bump to invalidate every existing cache entry regardless of code
 #: fingerprint (e.g. when the entry *format* changes shape).
 CACHE_FORMAT_VERSION = 2
-
-#: Leading magic of a v2 binary constraint entry; anything else is
-#: dispatched to the v1 pickle reader.
-ENTRY_MAGIC = b"QCE2"
-ENTRY_VERSION = 1
-
-#: v2 entry header: magic, version, reserved, flat section length,
-#: position-row pickle length.  24 bytes, so the flat section that
-#: follows stays 8-aligned for zero-copy int64 views.
-_ENTRY_HEADER = struct.Struct("<4sHHQQ")
 
 #: The packages whose source code determines cached output (the checker
 #: stores finished diagnostics, so its code is part of the key too;
@@ -147,9 +122,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    #: Subset of ``hits`` served zero-copy from a v2 binary entry
-    #: (mmap + flat buffers, no unpickled object graph).
-    binary_hits: int = 0
     #: Subset of ``hits`` answered by the in-memory LRU tier without
     #: touching disk at all.
     memory_hits: int = 0
@@ -158,14 +130,12 @@ class CacheStats:
         self.hits += other.hits
         self.misses += other.misses
         self.stores += other.stores
-        self.binary_hits += other.binary_hits
         self.memory_hits += other.memory_hits
 
     def summary(self) -> str:
         return (
             f"{self.hits} hit(s), {self.misses} miss(es), "
-            f"{self.stores} store(s), {self.binary_hits} binary mmap hit(s), "
-            f"{self.memory_hits} memory hit(s)"
+            f"{self.stores} store(s), {self.memory_hits} memory hit(s)"
         )
 
 
@@ -174,8 +144,7 @@ class _MemoryTier:
 
     Keys are ``(accessor, key)`` pairs — the same content-addressed key
     is cached separately per access shape (``"obj"`` for unpickled
-    values, ``"bytes"`` for raw blobs, ``"entry"`` for decoded
-    constraint payloads) because the decoded forms differ.  Values are
+    values, ``"bytes"`` for raw blobs) because the decoded forms differ.  Values are
     whatever the accessor produced; content-addressing makes them
     immutable-by-convention, so sharing one object across lookups is
     safe the same way sharing the on-disk entry is.
@@ -209,12 +178,30 @@ class _MemoryTier:
         return len(self._entries)
 
 
+#: What reading a truncated, corrupt or wrong-shape ``"constraints"``
+#: entry can raise: unpickling garbage, unpacking the wrong shape, or
+#: a mask outside the lattice.  :meth:`AnalysisCache._load_constraints`
+#: turns each into a miss.
+_UNREADABLE_ENTRY = (
+    OSError,
+    EOFError,
+    pickle.UnpicklingError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    KeyError,
+    OverflowError,
+    TypeError,
+    ValueError,
+    LatticeError,
+)
+
 #: Sentinel distinguishing "not in the memory tier" from a cached None.
 _MISS = object()
 
 #: Default bound of the per-handle memory tier.  Small enough that even
-#: the largest values (decoded constraint systems of whole programs)
-#: stay modest; a resident daemon raises it per session.
+#: the largest values (whole-program summaries) stay modest; a resident
+#: daemon raises it per session.
 DEFAULT_MEMORY_ENTRIES = 256
 
 
@@ -337,89 +324,39 @@ class AnalysisCache:
         """Atomically store an already-encoded binary entry."""
         self._write_atomic(key, blob)
 
-    def _load_constraints(self, key: str):
-        """Load a constraints entry in whichever encoding it was written.
+    def _load_constraints(self, key: str, lattice: QualifierLattice | None):
+        """Load a ``"constraints"`` entry as ``(positions, solution,
+        constraint_count)``, or ``None`` on miss.
 
-        Returns ``("flat", (FlatSystem, positions))`` for a v2 binary
-        entry (buffers wrapped zero-copy over an ``mmap`` of the file),
-        ``("pickle", (constraints, positions))`` for a v1 pickle entry,
-        or ``None`` on miss.  Corrupt entries of either encoding —
-        truncated headers, short buffers, ``struct.error``, garbage
-        pickles — are misses, never exceptions.  A repeat lookup is
-        answered from the in-memory tier (the decoded payload, mapping
-        and all, stays resident) without re-opening the file.
+        Reads the file itself rather than through :meth:`get`, so one
+        lookup counts once.  Masks are read over ``lattice`` (the
+        engines' default const lattice when ``None``).  Anything that
+        does not decode to the shape :meth:`cached_run` writes — a
+        truncated or garbage file, a pickle of the wrong shape, a mask
+        outside the lattice — is a miss, never an exception.
         """
-        cached = self.memory.get("entry", key)
-        if cached is not _MISS:
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            return cached
-        path = self._path(key)
+        lat = lattice if lattice is not None else const_lattice()
         try:
-            handle = open(path, "rb")
-        except OSError:
+            rows, stats, constraint_count = pickle.loads(self._path(key).read_bytes())
+            if not isinstance(stats, SolverStats) or not isinstance(
+                constraint_count, int
+            ):
+                raise TypeError("not a constraints entry")
+            positions = []
+            least = {}
+            greatest = {}
+            for function, where, depth, declared, line, name, uid, low, high in rows:
+                var = QualVar(name, uid)
+                positions.append(
+                    ConstPosition(function, where, depth, var, declared, line)
+                )
+                least[var] = lat.from_mask(low)
+                greatest[var] = lat.from_mask(high)
+        except _UNREADABLE_ENTRY:
             self.stats.misses += 1
             return None
-        with handle:
-            try:
-                head = handle.read(len(ENTRY_MAGIC))
-            except OSError:
-                self.stats.misses += 1
-                return None
-            if head == ENTRY_MAGIC:
-                try:
-                    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                except (OSError, ValueError):
-                    self.stats.misses += 1
-                    return None
-                try:
-                    entry = _decode_entry(mapped)
-                except (
-                    ValueError,
-                    struct.error,
-                    IndexError,
-                    KeyError,
-                    OverflowError,
-                    UnicodeDecodeError,
-                    pickle.UnpicklingError,
-                    EOFError,
-                    AttributeError,
-                ):
-                    # Not closed explicitly: the raised exception's
-                    # frames may still hold views over the mapping
-                    # (closing would raise BufferError); GC reclaims it.
-                    self.stats.misses += 1
-                    return None
-                self.stats.hits += 1
-                self.stats.binary_hits += 1
-                self.memory.put("entry", key, ("flat", entry))
-                return ("flat", entry)
-            try:
-                handle.seek(0)
-                blob = handle.read()
-            except OSError:
-                self.stats.misses += 1
-                return None
-        try:
-            value = pickle.loads(blob)
-        except (
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ValueError,
-            IndexError,
-            struct.error,
-        ):
-            self.stats.misses += 1
-            return None
-        if isinstance(value, tuple) and len(value) == 2:
-            self.stats.hits += 1
-            self.memory.put("entry", key, ("pickle", value))
-            return ("pickle", value)
-        # Well-formed pickle of the wrong shape (written by another tool
-        # against the same key): recompute rather than serve it.
-        self.stats.misses += 1
-        return None
+        self.stats.hits += 1
+        return positions, Solution(lat, least, greatest, stats), constraint_count
 
     # -- pipeline-level helpers ----------------------------------------
     def cached_run(
@@ -435,18 +372,17 @@ class AnalysisCache:
 
         Cold path: run the engine over ``program`` (parsed from
         ``source`` and charged to ``parse_seconds`` if not given), then
-        store the engine's own solved system as a v2 binary entry, or as
-        a v1 pickle for lattices the flat core cannot hold.  The run's
-        ``inference.program`` can be handed to the next engine.
+        store the run's answer: per position its fields and its least
+        and greatest masks, plus the solve's ``SolverStats`` and the
+        constraint count.  The run's ``inference.program`` can be handed
+        to the next engine.
 
-        Warm path: a v2 entry is ``mmap``-ed and its buffers wrapped
-        zero-copy — the recorded solution is served directly (the
-        fixpoints are unique, so it is bit-identical to a fresh solve)
-        and ``QualVar`` objects are rebuilt lazily, only for the
-        classified positions; a v1 entry is unpickled and re-solved.
-        Either way parse and constraint generation are skipped entirely
-        and the run's :class:`~repro.constinfer.engine.StageTimings` is
-        flagged ``from_cache``.
+        Warm path: the positions and a plain ``Solution`` over their
+        variables are rebuilt from the entry, so parse, constraint
+        generation and the solve are all skipped; the run has no
+        ``inference`` and its
+        :class:`~repro.constinfer.engine.StageTimings` is flagged
+        ``from_cache``.
         """
         key = self.key(
             "constraints",
@@ -456,30 +392,13 @@ class AnalysisCache:
             options=inference_options,
         )
         start = time.perf_counter()
-        cached = self._load_constraints(key)
+        cached = self._load_constraints(key, lattice)
         if cached is not None:
-            encoding, payload = cached
-            if encoding == "flat":
-                system, positions = payload
-                loaded = time.perf_counter()
-                try:
-                    solution = system.stored_solution() or system.solve()
-                except UnsatisfiableError as exc:
-                    raise _wrap_unsat(exc) from exc
-                constraint_count = system.counts[0]
-            else:
-                constraints, positions = payload
-                loaded = time.perf_counter()
-                solution = _solve_cached(constraints, positions, lattice)
-                constraint_count = len(constraints)
-            end = time.perf_counter()
-            timings = StageTimings(
-                congen_seconds=loaded - start,
-                solve_seconds=end - loaded,
-                from_cache=True,
-            )
+            positions, solution, constraint_count = cached
+            elapsed = time.perf_counter() - start
+            timings = StageTimings(congen_seconds=elapsed, from_cache=True)
             return InferenceRun(
-                mode, solution, positions, constraint_count, end - start, None, timings
+                mode, solution, positions, constraint_count, elapsed, None, timings
             )
 
         parse_seconds = 0.0
@@ -489,88 +408,26 @@ class AnalysisCache:
             parse_seconds = time.perf_counter() - parse_start
         engine = {"mono": run_mono, "poly": run_poly, "polyrec": run_polyrec}[mode]
         run = engine(program, lattice, **inference_options)
-        blob = _encode_entry(run.system, run.solution, run.positions)
-        if blob is not None:
-            self.put_bytes(key, blob)
-        else:
-            self.put(key, (run.inference.constraints, run.positions))
+        solution = run.solution
+        rows = [
+            (
+                p.function,
+                p.where,
+                p.depth,
+                p.declared,
+                p.line,
+                p.var.name,
+                p.var.uid,
+                solution.least_of(p.var).mask,
+                solution.greatest_of(p.var).mask,
+            )
+            for p in run.positions
+        ]
+        self.put(key, (rows, solution.stats, run.constraint_count))
         timings = StageTimings(
             parse_seconds=parse_seconds,
             congen_seconds=run.timings.congen_seconds if run.timings else 0.0,
             solve_seconds=run.timings.solve_seconds if run.timings else 0.0,
             generalize_seconds=run.timings.generalize_seconds if run.timings else 0.0,
         )
-        return InferenceRun(
-            run.mode,
-            run.solution,
-            run.positions,
-            run.constraint_count,
-            run.elapsed_seconds,
-            run.inference,
-            timings,
-        )
-
-
-def _encode_entry(system, solution, positions):
-    """Encode an engine's solved indexed system as a v2 binary entry, or
-    ``None`` when the flat core cannot hold its lattice.
-
-    The flat section records the solution too, so a warm start pays
-    neither unpickling nor solving; the tail is a pickle of primitive
-    per-position rows referencing variables by dense index.
-    """
-    if not flatcore.fits_flat(system.lattice):
-        return None
-    flat = flatcore.FlatSystem.from_indexed(system)
-    flat.record_solution(solution)
-    index = system._var_index
-    rows = [
-        (p.function, p.where, p.depth, index[p.var], p.declared, p.line)
-        for p in positions
-    ]
-    flat_blob = flat.to_bytes()
-    meta_blob = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
-    header = _ENTRY_HEADER.pack(
-        ENTRY_MAGIC, ENTRY_VERSION, 0, len(flat_blob), len(meta_blob)
-    )
-    return b"".join((header, flat_blob, meta_blob))
-
-
-def _decode_entry(buf):
-    """Decode a v2 binary entry zero-copy (the returned
-    :class:`~repro.qual.flatcore.FlatSystem` keeps the mapping alive).
-
-    Raises ``ValueError``/``struct.error`` on any malformation; the
-    cache layer treats those as a miss.
-    """
-    view = memoryview(buf)
-    magic, version, _reserved, flat_len, meta_len = _ENTRY_HEADER.unpack_from(view, 0)
-    if magic != ENTRY_MAGIC:
-        raise ValueError(f"bad entry magic: {magic!r}")
-    if version != ENTRY_VERSION:
-        raise ValueError(f"unsupported entry version: {version}")
-    offset = _ENTRY_HEADER.size
-    if offset + flat_len + meta_len > len(view):
-        raise ValueError("entry sections overrun file")
-    system = flatcore.FlatSystem.from_buffer(view[offset : offset + flat_len])
-    rows = pickle.loads(view[offset + flat_len : offset + flat_len + meta_len])
-    if not isinstance(rows, list):
-        raise ValueError("position rows are not a list")
-    positions = [
-        ConstPosition(function, where, depth, system.var(var_index), declared, line)
-        for function, where, depth, var_index, declared, line in rows
-    ]
-    return system, positions
-
-
-def _solve_cached(constraints, positions, lattice: QualifierLattice | None):
-    """Solve a cache-loaded v1 constraint system over the lattice the
-    engine used (the key's, or the engines' default const lattice)."""
-    from ..qual.qualifiers import const_lattice
-    from ..qual.solver import solve
-
-    lat = lattice if lattice is not None else const_lattice()
-    try:
-        return solve(constraints, lat, extra_vars=[p.var for p in positions])
-    except UnsatisfiableError as exc:
-        raise _wrap_unsat(exc) from exc
+        return replace(run, timings=timings)

@@ -47,8 +47,9 @@ class StageTimings:
 
     ``parse_seconds`` is recorded by whoever owns the source text (the
     benchmark suite, the CLI, or the analysis cache); the engines fill
-    the rest.  ``from_cache`` marks a warm run whose parse and constraint
-    generation were skipped entirely — only the solve was paid.
+    the rest.  ``from_cache`` marks a warm run served from the analysis
+    cache: parse, constraint generation and the solve were all skipped,
+    and ``congen_seconds`` holds the time spent reading the entry.
     """
 
     parse_seconds: float = 0.0
@@ -87,8 +88,6 @@ class InferenceRun:
     elapsed_seconds: float
     inference: ConstInference | None = field(repr=False, default=None)
     timings: StageTimings | None = None
-    #: The solved indexed system, which the analysis cache encodes.
-    system: IndexedSystem | None = field(repr=False, default=None)
 
     def classify(self, position: ConstPosition) -> Classification:
         return self.solution.classify(position.var, "const")
@@ -149,7 +148,7 @@ def run_mono(
     inference.analyze_global_initializers()
 
     congen_done = time.perf_counter()
-    system, solution = _solve(inference)
+    solution = _solve(inference)
     end = time.perf_counter()
     timings = StageTimings(
         congen_seconds=congen_done - start, solve_seconds=end - congen_done
@@ -162,7 +161,6 @@ def run_mono(
         end - start,
         inference,
         timings,
-        system,
     )
 
 
@@ -196,7 +194,7 @@ def run_poly(
     inference.analyze_global_initializers()
 
     congen_done = time.perf_counter()
-    system, solution = _solve(inference)
+    solution = _solve(inference)
     end = time.perf_counter()
     timings = StageTimings(
         congen_seconds=congen_done - start - generalize_seconds,
@@ -211,7 +209,6 @@ def run_poly(
         end - start,
         inference,
         timings,
-        system,
     )
 
 
@@ -318,7 +315,7 @@ def run_polyrec(
             inference.analyze_function(fdef)
         inference.analyze_global_initializers()
 
-        system, solution = _solve_incremental(base_system, inference, base_constraints)
+        solution = _solve_incremental(base_system, inference, base_constraints)
         summary = _signature_summary(inference, solution)
         if summary == previous_summary:
             break
@@ -331,7 +328,7 @@ def run_polyrec(
             for name in program.functions
         }
     else:
-        system, solution = _solve_incremental(base_system, inference, base_constraints)
+        solution = _solve_incremental(base_system, inference, base_constraints)
 
     elapsed = time.perf_counter() - start
     return InferenceRun(
@@ -341,7 +338,6 @@ def run_polyrec(
         len(inference.constraints),
         elapsed,
         inference,
-        system=system,
     )
 
 
@@ -397,29 +393,25 @@ def _wrap_unsat(exc: UnsatisfiableError) -> ConstInferenceError:
     return ConstInferenceError(message)
 
 
-def _solve(inference: ConstInference) -> tuple[IndexedSystem, Solution]:
+def _solve(inference: ConstInference) -> Solution:
     """Index the constraints, then the position variables, and solve."""
-    system = IndexedSystem(inference.lattice)
     try:
-        solution = system.solve(
+        return IndexedSystem(inference.lattice).solve(
             [p.var for p in inference.positions], inference.constraints
         )
     except UnsatisfiableError as exc:
         raise _wrap_unsat(exc) from exc
-    return system, solution
 
 
 def _solve_incremental(
     base_system: IndexedSystem, inference: ConstInference, base_constraints: int
-) -> tuple[IndexedSystem, Solution]:
+) -> Solution:
     """Solve the current round's system by forking the pre-indexed shared
     prefix and adding only the constraints generated after it."""
-    system = base_system.fork()
     try:
-        solution = system.solve(
+        return base_system.fork().solve(
             [p.var for p in inference.positions],
             inference.constraints[base_constraints:],
         )
     except UnsatisfiableError as exc:
         raise _wrap_unsat(exc) from exc
-    return system, solution

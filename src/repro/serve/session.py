@@ -12,10 +12,9 @@ repro.checker`` run would have to rebuild from scratch:
   diagnostics of an unchanged file come back without parse, constraint
   generation, solve, *or* I/O;
 * the **whole-program plan** — after a ``--whole-program`` analysis, the
-  TU dependence graph and per-unit closure digests
-  (:func:`repro.whole.engine.closure_digests`), so an edit can name
-  exactly which units a re-link will re-analyse while every other unit's
-  summary is served warm.
+  TU dependence graph (:func:`repro.whole.engine.tu_dependence_graph`),
+  so an edit can name exactly which units a re-link will re-analyse
+  while every other unit's summary is served warm.
 
 Analysis itself is *the same code path as the one-shot CLI*
 (:func:`repro.checker.runner.analyze` + ``render_report``), so a
@@ -37,7 +36,8 @@ from ..checker.checks import DEFAULT_CHECKS, check_by_name
 from ..checker.render import render_report
 from ..checker.runner import analyze as run_analysis
 from ..constinfer.cache import AnalysisCache
-from ..whole.engine import affected_units, closure_digests, tu_dependence_graph
+from ..constinfer.fdg import FunctionDependenceGraph
+from ..whole.engine import affected_units, tu_dependence_graph
 from ..whole.linker import link_units
 from .protocol import InvalidParams
 
@@ -95,9 +95,9 @@ class Session:
         #: which the file was clean; served when a later edit breaks
         #: the file, so resident diagnostics never vanish mid-typing.
         self._last_good: dict[str, list[dict[str, Any]]] = {}
-        #: After a whole-program analyze: (sorted roots, tu graph,
-        #: unit -> closure digest) for incremental invalidation.
-        self._whole_plan: tuple[tuple[str, ...], Any, dict[str, str]] | None = None
+        #: After a whole-program analyze: the TU dependence graph, for
+        #: incremental invalidation.
+        self._whole_plan: FunctionDependenceGraph | None = None
 
         self.started = time.monotonic()
         self.request_counts: dict[str, int] = {}
@@ -361,10 +361,9 @@ class Session:
         self.versions[file] = version
 
         invalidated: list[str] | None = None
-        if self._whole_plan is not None:
-            _roots, tu_graph, _digests = self._whole_plan
-            if file in tu_graph.vertices:
-                invalidated = list(affected_units(tu_graph, {file}))
+        plan = self._whole_plan
+        if plan is not None and file in plan.vertices:
+            invalidated = list(affected_units(plan, {file}))
         out: dict[str, Any] = {
             "ok": True,
             "file": file,
@@ -420,7 +419,6 @@ class Session:
                 "hits": cache.hits,
                 "misses": cache.misses,
                 "stores": cache.stores,
-                "binary_hits": cache.binary_hits,
                 "memory_hits": cache.memory_hits,
                 "memory_entries": len(self.cache.memory),
                 "memory_limit": self.cache.memory.maxsize,
@@ -431,7 +429,9 @@ class Session:
                 "resilient_units": len(self._resilient_memo),
                 "parse_memo_hits": self._memo_hits,
                 "whole_plan_units": (
-                    len(self._whole_plan[2]) if self._whole_plan else 0
+                    len(self._whole_plan.vertices)
+                    if self._whole_plan is not None
+                    else 0
                 ),
             },
             "stage_totals_ms": totals_ms,
@@ -467,12 +467,10 @@ class Session:
             out[file] = text
         return out
 
-    def _build_whole_plan(
-        self, files: list[str]
-    ) -> tuple[tuple[str, ...], Any, dict[str, str]] | None:
+    def _build_whole_plan(self, files: list[str]) -> FunctionDependenceGraph | None:
         """Link the current view of ``files`` (parse memo makes this
-        cheap — every unit was just parsed) and snapshot the dependence
-        graph plus per-unit closure digests."""
+        cheap — every unit was just parsed) and snapshot its TU
+        dependence graph, or ``None`` if linking fails."""
         sources: dict[str, str] = {}
         for file in files:
             text = self.overlay.get(file)
@@ -491,12 +489,9 @@ class Session:
             except Exception:
                 continue  # unparseable units are linked around, as in the runner
         try:
-            linked = link_units(units, sources=sources)
-            tu_graph = tu_dependence_graph(linked)
-            digests = closure_digests(linked, tu_graph)
+            return tu_dependence_graph(link_units(units, sources=sources))
         except Exception:
             return None
-        return (tuple(sorted(files)), tu_graph, digests)
 
     def close(self) -> None:
         if self._tempdir is not None:

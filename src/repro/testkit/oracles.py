@@ -33,9 +33,9 @@ C corpora (:func:`check_c_corpus`):
     solve vs. solve_reference over ``run_poly``'s constraint system;
 ``cache``
     a cold :meth:`~repro.constinfer.cache.AnalysisCache.cached_run`
-    vs. the warm rerun of the same source, and the solution the cold
-    run recorded in its entry vs. a fresh solve of the stored system
-    (values and :class:`~repro.qual.solver.SolverStats`);
+    vs. the warm rerun of the same source: classifications, each
+    position's least and greatest solution, and
+    :class:`~repro.qual.solver.SolverStats` must agree;
 ``whole-concat``
     linking the corpus's units vs. analysing their textual
     concatenation (classification multiset, ``static`` names compared
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cfront.sema import Program
-from ..constinfer.cache import AnalysisCache, _decode_entry
+from ..constinfer.cache import AnalysisCache
 from ..constinfer.engine import InferenceRun, run_poly
 from ..lam.ast import Expr, walk
 from ..lam.eval import Evaluator, Store, StuckError
@@ -236,19 +236,13 @@ def _run_fingerprint(run: InferenceRun, exact_vars: bool = True) -> tuple:
     return (tuple(rows), run.constraint_count)
 
 
-def _diff_stored_solution(cache: AnalysisCache, source: str) -> Disagreement | None:
-    """A cold poly entry's recorded solution (the engine's own solve)
-    must equal a fresh solve of the stored system, stats included."""
-    key = cache.key("constraints", source=source, mode="poly")
-    try:
-        system, _positions = _decode_entry(cache._path(key).read_bytes())
-        stored, fresh = system.stored_solution(), system.solve()
-        same = (stored.least, stored.greatest, stored.stats) == (
-            fresh.least, fresh.greatest, fresh.stats
-        )
-    except Exception as exc:
-        return Disagreement("cache", f"cold entry unreadable: {exc}")
-    return None if same else Disagreement("cache", "recorded solution != fresh solve")
+def _position_bounds(run: InferenceRun) -> list[tuple[int, int]]:
+    """Each position's (least, greatest) solution as lattice masks."""
+    solution = run.solution
+    return [
+        (solution.least_of(p.var).mask, solution.greatest_of(p.var).mask)
+        for p in run.positions
+    ]
 
 
 def _normalized_multiset(run: InferenceRun) -> list[tuple]:
@@ -572,8 +566,14 @@ def check_c_corpus(
                     out.append(
                         Disagreement("cache", "cold cached run differs from direct run")
                     )
-                if (d := _diff_stored_solution(cache, concat)) is not None:
-                    out.append(d)
+                if _position_bounds(warm) != _position_bounds(cold):
+                    out.append(
+                        Disagreement("cache", "cold and warm position bounds differ")
+                    )
+                if warm.solution.stats != cold.solution.stats:
+                    out.append(
+                        Disagreement("cache", "cold and warm solver stats differ")
+                    )
 
     whole = None
     if any(

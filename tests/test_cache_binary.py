@@ -1,22 +1,18 @@
-"""The v2 binary cache encoding: cold runs store flat-array (QCE2)
-entries, warm runs mmap them zero-copy and serve the recorded solution,
-v1 pickle entries (lattices too wide for the flat core) load through
-the pickle path, and corrupt binary entries of every flavour are
-misses — never exceptions."""
+"""The constraints cache entry: a cold run stores the run's answer (one
+row per position with its least and greatest masks, the solve's
+``SolverStats`` and the constraint count), a warm run rebuilds the
+positions and a plain ``Solution`` from it without indexing or solving,
+every lattice width uses the same entry, and corrupt or wrong-shape
+entries of every flavour are misses — never exceptions."""
 
 import pickle
 import struct
 
 import pytest
 
-import repro.constinfer.cache as cache_mod
-from repro.constinfer.cache import (
-    ENTRY_MAGIC,
-    ENTRY_VERSION,
-    _ENTRY_HEADER,
-    AnalysisCache,
-    CacheStats,
-)
+import repro.qual.flatcore as flatcore
+from repro.constinfer.cache import AnalysisCache, CacheStats
+from repro.qual.solver import IndexedSystem, Solution
 
 
 SOURCE = """
@@ -35,8 +31,8 @@ def cache(tmp_path):
     return AnalysisCache(tmp_path / "cache")
 
 
-def constraint_entry(cache, mode="mono"):
-    key = cache.key("constraints", source=SOURCE, lattice=None, mode=mode, options={})
+def constraint_entry(cache, mode="mono", lattice=None):
+    key = cache.key("constraints", source=SOURCE, lattice=lattice, mode=mode, options={})
     return cache._path(key)
 
 
@@ -44,116 +40,201 @@ def classifications(run):
     return sorted((p.function, p.where, run.classify(p).name) for p in run.positions)
 
 
-def fingerprint(run):
-    return sorted(
-        (p.function, p.where, str(run.solution.least_of(p.var)))
-        for p in run.positions
+def answer(run):
+    """Everything a Table 2 row reads from a run, in position order."""
+    solution = run.solution
+    return (
+        [
+            (
+                p.function,
+                p.where,
+                p.depth,
+                p.declared,
+                p.line,
+                p.var.name,
+                p.var.uid,
+                solution.classify(p.var, "const").name,
+                solution.least_of(p.var).mask,
+                solution.greatest_of(p.var).mask,
+            )
+            for p in run.positions
+        ],
+        solution.stats,
+        run.constraint_count,
     )
 
 
 class TestBinaryFormat:
-    def test_cold_run_stores_qce2_entry(self, cache):
-        cache.cached_run(SOURCE, "t.c", "mono")
-        blob = constraint_entry(cache).read_bytes()
-        magic, version, _, flat_len, meta_len = _ENTRY_HEADER.unpack_from(blob, 0)
-        assert magic == ENTRY_MAGIC
-        assert version == ENTRY_VERSION
-        assert _ENTRY_HEADER.size + flat_len + meta_len == len(blob)
-
-    def test_warm_run_is_a_binary_hit(self, cache):
-        cold = cache.cached_run(SOURCE, "t.c", "mono")
-        assert cache.stats.binary_hits == 0
-        warm = cache.cached_run(SOURCE, "t.c", "mono")
-        assert warm.timings and warm.timings.from_cache
-        assert cache.stats.binary_hits == 1
-        assert classifications(warm) == classifications(cold)
-        assert fingerprint(warm) == fingerprint(cold)
-        assert warm.constraint_count == cold.constraint_count
+    """The entry on disk and the counters that report it."""
 
     def test_warm_run_serves_stored_solution_without_resolving(self, cache, monkeypatch):
-        """The recorded fixpoints are served directly; a warm start must
-        not re-run the solver at all."""
+        """The stored masks are served directly; a warm start must not
+        index or solve anything."""
         cold = cache.cached_run(SOURCE, "t.c", "mono")
 
         def explode(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("warm start re-solved the system")
 
-        monkeypatch.setattr(cache_mod.flatcore.FlatSystem, "solve", explode)
+        monkeypatch.setattr(IndexedSystem, "add_many", explode)
+        monkeypatch.setattr(flatcore, "solve_indexed", explode)
         warm = cache.cached_run(SOURCE, "t.c", "mono")
         assert warm.timings and warm.timings.from_cache
-        assert fingerprint(warm) == fingerprint(cold)
+        assert type(warm.solution) is Solution
+        assert answer(warm) == answer(cold)
 
-    def test_poly_mode_also_binary(self, cache):
-        cache.cached_run(SOURCE, "t.c", "poly")
-        assert constraint_entry(cache, "poly").read_bytes()[:4] == ENTRY_MAGIC
-        warm = cache.cached_run(SOURCE, "t.c", "poly")
-        assert warm.timings and warm.timings.from_cache
-        assert cache.stats.binary_hits == 1
-
-    def test_stats_summary_reports_binary_hits(self, cache):
+    def test_stats_summary_reports_counters(self, cache):
         cache.cached_run(SOURCE, "t.c", "mono")
         cache.cached_run(SOURCE, "t.c", "mono")
-        assert "1 binary mmap hit(s)" in cache.stats.summary()
+        assert cache.stats.summary() == (
+            "1 hit(s), 1 miss(es), 1 store(s), 0 memory hit(s)"
+        )
 
-    def test_stats_merge_carries_binary_hits(self):
-        a = CacheStats(hits=2, misses=1, stores=1, binary_hits=2)
-        b = CacheStats(hits=1, binary_hits=1)
-        a.merge(b)
-        assert a.hits == 3
-        assert a.binary_hits == 3
+    def test_stats_merge_carries_counters(self):
+        a = CacheStats(hits=2, misses=1, stores=1, memory_hits=1)
+        a.merge(CacheStats(hits=1, misses=2, stores=3, memory_hits=4))
+        assert (a.hits, a.misses, a.stores, a.memory_hits) == (3, 3, 4, 5)
 
 
-class TestPickleFallback:
-    def test_v1_pickle_entry_still_loads(self, cache, monkeypatch):
-        """v1 entries (a plain pickle of ``(constraints, positions)``)
-        are re-solved and served."""
-        monkeypatch.setattr(cache_mod, "_encode_entry", lambda *a: None)
-        cold = cache.cached_run(SOURCE, "t.c", "mono")
-        assert constraint_entry(cache).read_bytes()[:4] != ENTRY_MAGIC
-        monkeypatch.undo()
+def _sweep_sources():
+    from repro.benchsuite.suite import generate_source, scaling_spec
 
-        warm = cache.cached_run(SOURCE, "t.c", "mono")
-        assert warm.timings and warm.timings.from_cache
-        assert cache.stats.binary_hits == 0  # served via the pickle path
+    # sweep-2 is past the flat core's fast-kernel threshold, so with
+    # numpy installed the stored masks come from the numpy kernel.
+    return [
+        ("sweep-1", generate_source(scaling_spec(1))),
+        ("sweep-2", generate_source(scaling_spec(2))),
+    ]
+
+
+class TestResultEntry:
+    @pytest.mark.parametrize("mode", ["mono", "poly", "polyrec"])
+    @pytest.mark.parametrize("name,source", _sweep_sources(), ids=["sweep-1", "sweep-2"])
+    def test_cold_and_warm_identical(self, tmp_path, mode, name, source):
+        """Classifications, masks, ``SolverStats`` and the constraint
+        count of a warm run equal the cold run's."""
+        cache = AnalysisCache(tmp_path)
+        cold = cache.cached_run(source, name, mode)
+        warm = cache.cached_run(source, name, mode)
+        assert not cold.timings.from_cache
+        assert warm.timings.from_cache and warm.inference is None
+        assert warm.solution.stats is not None
+        assert answer(warm) == answer(cold)
         assert classifications(warm) == classifications(cold)
-        assert fingerprint(warm) == fingerprint(cold)
 
-    def test_mixed_stores_coexist(self, cache, monkeypatch):
-        """A store holding v1 entries for some keys and v2 for others
-        serves both, each through its own decoder."""
-        monkeypatch.setattr(cache_mod, "_encode_entry", lambda *a: None)
-        cache.cached_run(SOURCE, "t.c", "mono")
-        monkeypatch.undo()
-        cache.cached_run(SOURCE, "t.c", "poly")
-        assert constraint_entry(cache, "mono").read_bytes()[:4] != ENTRY_MAGIC
-        assert constraint_entry(cache, "poly").read_bytes()[:4] == ENTRY_MAGIC
-
-        warm_mono = cache.cached_run(SOURCE, "t.c", "mono")
-        warm_poly = cache.cached_run(SOURCE, "t.c", "poly")
-        assert warm_mono.timings and warm_mono.timings.from_cache
-        assert warm_poly.timings and warm_poly.timings.from_cache
-        assert cache.stats.binary_hits == 1
-
-    def test_oversized_lattice_falls_back_to_pickle(self, cache):
-        """_encode_entry declines lattices whose masks exceed the flat
-        core's 62-bit budget; cached_run then writes a v1 pickle, and the
-        warm run re-solves it to the cold run's classifications."""
+    def test_wide_lattice_uses_the_same_entry(self, cache):
+        """A 70-qualifier lattice is too wide for the numpy kernel's
+        int64 arrays; its masks are plain ints, so cached_run stores and
+        serves it through the one entry format, end to end."""
         from repro.qual.lattice import QualifierLattice, positive
         from repro.qual.qualifiers import CONST
 
         wide = QualifierLattice([CONST] + [positive(f"q{i}") for i in range(69)])
+        assert not flatcore.fits_flat(wide)
         cold = cache.cached_run(SOURCE, "t.c", "mono", lattice=wide)
-        key = cache.key("constraints", source=SOURCE, lattice=wide, mode="mono")
-        assert cache._path(key).read_bytes()[:4] != ENTRY_MAGIC
+        rows, stats, count = pickle.loads(
+            constraint_entry(cache, lattice=wide).read_bytes()
+        )
+        assert len(rows) == len(cold.positions)
+        assert stats == cold.solution.stats and count == cold.constraint_count
+        assert max(row[-1] for row in rows).bit_length() > 62
 
         warm = cache.cached_run(SOURCE, "t.c", "mono", lattice=wide)
         assert warm.timings and warm.timings.from_cache
-        assert cache.stats.binary_hits == 0
-        assert classifications(warm) == classifications(cold)
-        assert fingerprint(warm) == fingerprint(cold)
+        assert warm.solution.lattice == wide
+        assert answer(warm) == answer(cold)
+
+    @pytest.mark.parametrize(
+        "make_entry",
+        [
+            lambda cold: "wrong shape",
+            lambda cold: ([], []),  # as an old (constraints, positions) entry
+            lambda cold: ([], {"not": "stats"}, 0),
+            lambda cold: ([("f", "return", 1)], cold.solution.stats, 0),  # short row
+            lambda cold: None,
+        ],
+        ids=["str", "pair", "bad-stats", "short-row", "none"],
+    )
+    def test_wrong_shape_pickle_is_a_miss(self, cache, make_entry):
+        cold = cache.cached_run(SOURCE, "t.c", "mono")
+        constraint_entry(cache).write_bytes(pickle.dumps(make_entry(cold)))
+        rerun = cache.cached_run(SOURCE, "t.c", "mono")
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        assert not rerun.timings.from_cache
+        assert classifications(rerun) == classifications(cold)
+
+
+class TestEngineSystemEntry:
+    """A cold run stores the answer of the engine's own solve; the entry
+    equals one built by indexing the constraints again and solving."""
+
+    @staticmethod
+    def reindexed_entry(run):
+        system = IndexedSystem(run.inference.lattice)
+        solution = system.solve([p.var for p in run.positions], run.inference.constraints)
+        rows = [
+            (
+                p.function,
+                p.where,
+                p.depth,
+                p.declared,
+                p.line,
+                p.var.name,
+                p.var.uid,
+                solution.least_of(p.var).mask,
+                solution.greatest_of(p.var).mask,
+            )
+            for p in run.positions
+        ]
+        return (rows, solution.stats, len(run.inference.constraints))
+
+    @pytest.mark.parametrize("mode", ["mono", "poly", "polyrec"])
+    @pytest.mark.parametrize(
+        "name,source",
+        _sweep_sources() + [("cgen-3", None)],
+        ids=["sweep-1", "sweep-2", "cgen-3"],
+    )
+    def test_entry_matches_reindexed_oracle(self, tmp_path, mode, name, source):
+        if source is None:
+            from repro.testkit.cgen import generate_c_corpus
+
+            source = generate_c_corpus(3).concat_source()
+        cache = AnalysisCache(tmp_path)
+        cold = cache.cached_run(source, name, mode)
+        key = cache.key("constraints", source=source, mode=mode)
+        stored = pickle.loads(cache._path(key).read_bytes())
+        assert stored == self.reindexed_entry(cold)
+
+    def test_cold_run_indexes_and_solves_once(self, tmp_path, monkeypatch):
+        from repro.cfront.sema import Program
+        from repro.constinfer.engine import run_poly
+
+        calls = []
+        add_many = IndexedSystem.add_many
+        solve_indexed = flatcore.solve_indexed
+        monkeypatch.setattr(
+            IndexedSystem,
+            "add_many",
+            lambda self, cs: calls.append("add_many") or add_many(self, cs),
+        )
+        monkeypatch.setattr(
+            flatcore,
+            "solve_indexed",
+            lambda *a, **k: calls.append("solve") or solve_indexed(*a, **k),
+        )
+        run_poly(Program.from_source(SOURCE, "t.c"))
+        bare = list(calls)
+        calls.clear()
+        AnalysisCache(tmp_path).cached_run(SOURCE, "t.c", "poly")
+        assert calls == bare
+        assert calls.count("solve") == 1
 
 
 class TestCorruptBinaryEntries:
+    """Every way the pickled entry can be malformed — cut inside the
+    pickle's protocol/frame header, an unknown protocol, a frame length
+    overrunning the file, a truncated body, rows of the wrong shape — is
+    a miss, and the recompute rewrites a healthy entry."""
+
     def warm_after(self, cache, mutate):
         cold = cache.cached_run(SOURCE, "t.c", "mono")
         path = constraint_entry(cache)
@@ -170,127 +251,49 @@ class TestCorruptBinaryEntries:
     def test_truncated_header_is_a_miss(self, cache):
         self.warm_after(cache, lambda p: p.write_bytes(p.read_bytes()[:10]))
 
-    def test_truncated_flat_section_is_a_miss(self, cache):
-        self.warm_after(
-            cache, lambda p: p.write_bytes(p.read_bytes()[: _ENTRY_HEADER.size + 40])
-        )
-
     def test_truncated_tail_pickle_is_a_miss(self, cache):
         self.warm_after(cache, lambda p: p.write_bytes(p.read_bytes()[:-5]))
 
     def test_magic_with_garbage_body_is_a_miss(self, cache):
-        self.warm_after(
-            cache, lambda p: p.write_bytes(ENTRY_MAGIC + b"\xff" * 64)
-        )
+        """The protocol opcode survives; everything after it is garbage."""
+        self.warm_after(cache, lambda p: p.write_bytes(p.read_bytes()[:2] + b"\xff" * 64))
 
     def test_unsupported_version_is_a_miss(self, cache):
-        def bump_version(path):
+        def bump_protocol(path):
             blob = bytearray(path.read_bytes())
-            struct.pack_into("<H", blob, 4, 999)
+            assert blob[0] == 0x80  # PROTO opcode
+            blob[1] = 99
             path.write_bytes(bytes(blob))
 
-        self.warm_after(cache, bump_version)
+        self.warm_after(cache, bump_protocol)
 
     def test_section_lengths_overrunning_file_are_a_miss(self, cache):
-        def inflate(path):
+        def inflate_frame(path):
             blob = bytearray(path.read_bytes())
-            struct.pack_into("<Q", blob, 8, 2**40)
+            assert blob[2] == 0x95  # FRAME opcode, then an 8-byte length
+            struct.pack_into("<Q", blob, 3, 2**40)
             path.write_bytes(bytes(blob))
 
-        self.warm_after(cache, inflate)
+        self.warm_after(cache, inflate_frame)
 
     def test_corrupt_position_rows_are_a_miss(self, cache):
-        """A valid flat section with garbage position rows must not be
+        """Valid stats and count with garbage position rows must not be
         half-served."""
 
         def garble_rows(path):
-            blob = path.read_bytes()
-            _, _, _, flat_len, _ = _ENTRY_HEADER.unpack_from(blob, 0)
-            keep = _ENTRY_HEADER.size + flat_len
-            rows = pickle.dumps("not a list of rows")
-            header = _ENTRY_HEADER.pack(
-                ENTRY_MAGIC, ENTRY_VERSION, 0, flat_len, len(rows)
-            )
-            path.write_bytes(header + blob[_ENTRY_HEADER.size : keep] + rows)
+            _rows, stats, count = pickle.loads(path.read_bytes())
+            path.write_bytes(pickle.dumps(("not a list of rows", stats, count)))
 
         self.warm_after(cache, garble_rows)
+
+    def test_mask_outside_the_lattice_is_a_miss(self, cache):
+        def widen_mask(path):
+            rows, stats, count = pickle.loads(path.read_bytes())
+            rows[0] = rows[0][:-1] + (1 << 40,)
+            path.write_bytes(pickle.dumps((rows, stats, count)))
+
+        self.warm_after(cache, widen_mask)
 
     def test_empty_file_is_a_miss(self, cache):
         self.warm_after(cache, lambda p: p.write_bytes(b""))
 
-
-def reindexed_entry(run):
-    """The QCE2 entry the way it used to be built, kept as the oracle:
-    index the run's constraints again, register the positions, and solve
-    the snapshot (``attach_solution``)."""
-    from repro.qual.flatcore import FlatSystem
-    from repro.qual.solver import IndexedSystem
-
-    constraints = run.inference.constraints
-    system = IndexedSystem(run.inference.lattice)
-    system.add_many(constraints)
-    for p in run.positions:
-        system.add_var(p.var)
-    flat = FlatSystem.from_indexed(system)
-    flat.attach_solution()
-    rows = [
-        (p.function, p.where, p.depth, system._var_index[p.var], p.declared, p.line)
-        for p in run.positions
-    ]
-    flat_blob = flat.to_bytes()
-    meta_blob = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
-    header = _ENTRY_HEADER.pack(
-        ENTRY_MAGIC, ENTRY_VERSION, 0, len(flat_blob), len(meta_blob)
-    )
-    return b"".join((header, flat_blob, meta_blob))
-
-
-def _corpus_sources():
-    from repro.benchsuite.suite import generate_source, scaling_spec
-    from repro.testkit.cgen import generate_c_corpus
-
-    # sweep-2 is past the flat core's fast-kernel threshold, so with
-    # numpy installed it checks a solution the numpy kernel recorded.
-    return [
-        ("sweep-1", generate_source(scaling_spec(1))),
-        ("sweep-2", generate_source(scaling_spec(2))),
-        ("cgen-3", generate_c_corpus(3).concat_source()),
-    ]
-
-
-class TestEngineSystemEntry:
-    """A cold run stores the engine's own solved system; the entry is
-    byte-identical to one built by indexing and solving again."""
-
-    @pytest.mark.parametrize("mode", ["mono", "poly", "polyrec"])
-    @pytest.mark.parametrize(
-        "name,source", _corpus_sources(), ids=["sweep-1", "sweep-2", "cgen-3"]
-    )
-    def test_entry_matches_reindexed_oracle(self, tmp_path, mode, name, source):
-        cache = AnalysisCache(tmp_path)
-        cold = cache.cached_run(source, name, mode)
-        key = cache.key("constraints", source=source, mode=mode)
-        assert cache._path(key).read_bytes() == reindexed_entry(cold)
-
-    def test_cold_run_indexes_and_solves_once(self, tmp_path, monkeypatch):
-        from repro.cfront.sema import Program
-        from repro.constinfer.engine import run_poly
-        from repro.qual.flatcore import FlatSystem
-        from repro.qual.solver import IndexedSystem
-
-        calls = []
-        add_many = IndexedSystem.add_many
-        monkeypatch.setattr(
-            IndexedSystem,
-            "add_many",
-            lambda self, cs: calls.append("add_many") or add_many(self, cs),
-        )
-        monkeypatch.setattr(
-            FlatSystem, "solve", lambda self: calls.append("flat-solve")
-        )
-        run_poly(Program.from_source(SOURCE, "t.c"))
-        bare = list(calls)
-        calls.clear()
-        AnalysisCache(tmp_path).cached_run(SOURCE, "t.c", "poly")
-        assert calls == bare
-        assert "flat-solve" not in calls

@@ -98,8 +98,6 @@ def test_get_bytes_memory_tier(tmp_path):
     cache._path(key).unlink()
     assert cache.get_bytes(key) == b"\x01\x02\x03"
     assert cache.stats.memory_hits == 1
-    # Memory hits never masquerade as zero-copy mmap hits.
-    assert cache.stats.binary_hits == 0
 
 
 def test_obj_and_bytes_tiers_are_independent(tmp_path):
@@ -156,7 +154,7 @@ def test_default_memory_entries(tmp_path):
 
 
 def test_stats_merge_and_summary_include_memory_hits():
-    a = CacheStats(hits=2, misses=1, stores=1, binary_hits=1, memory_hits=1)
+    a = CacheStats(hits=2, misses=1, stores=1, memory_hits=1)
     b = CacheStats(hits=3, memory_hits=2)
     a.merge(b)
     assert a.memory_hits == 3

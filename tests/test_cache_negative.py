@@ -79,56 +79,6 @@ class TestCorruptEntries:
         assert cache.get(key) is None
 
 
-class TestCorruptBinaryEntries:
-    """The v2 binary (QCE2) encoding has more ways to be malformed than
-    a pickle — short headers, lying section lengths — and every one of
-    them must be a miss.  ``tests/test_cache_binary.py`` covers the
-    format exhaustively; these are the negative paths."""
-
-    def constraint_entry(self, cache):
-        key = cache.key(
-            "constraints", source=SOURCE, lattice=None, mode="mono", options={}
-        )
-        return cache._path(key)
-
-    def test_truncated_binary_header_is_a_miss(self, cache):
-        cold = cache.cached_run(SOURCE, "t.c", "mono")
-        path = self.constraint_entry(cache)
-        assert path.read_bytes()[:4] == cache_mod.ENTRY_MAGIC
-        path.write_bytes(path.read_bytes()[:12])  # magic survives, header doesn't
-        before = cache.stats.misses
-        rerun = cache.cached_run(SOURCE, "t.c", "mono")
-        assert cache.stats.misses > before
-        assert classifications(rerun) == classifications(cold)
-        assert not (rerun.timings and rerun.timings.from_cache)
-
-    def test_binary_header_on_pickle_body_is_a_miss(self, cache):
-        """Magic bytes grafted onto a pickle body dispatch to the binary
-        decoder, which must reject them rather than raise."""
-        cold = cache.cached_run(SOURCE, "t.c", "mono")
-        path = self.constraint_entry(cache)
-        path.write_bytes(cache_mod.ENTRY_MAGIC + pickle.dumps(([], [])))
-        rerun = cache.cached_run(SOURCE, "t.c", "mono")
-        assert classifications(rerun) == classifications(cold)
-
-    def test_mixed_v1_and_v2_stores(self, cache, monkeypatch):
-        """A store carrying v1 pickle entries (the wide-lattice writer)
-        next to v2 binary ones serves both encodings from one keyspace."""
-        monkeypatch.setattr(cache_mod, "_encode_entry", lambda *a: None)
-        v1_cold = cache.cached_run(SOURCE, "t.c", "mono")
-        monkeypatch.undo()
-        v2_cold = cache.cached_run(SOURCE, "t.c", "poly")
-
-        v1_warm = cache.cached_run(SOURCE, "t.c", "mono")
-        v2_warm = cache.cached_run(SOURCE, "t.c", "poly")
-        assert v1_warm.timings and v1_warm.timings.from_cache
-        assert v2_warm.timings and v2_warm.timings.from_cache
-        assert classifications(v1_warm) == classifications(v1_cold)
-        assert classifications(v2_warm) == classifications(v2_cold)
-        # Only the poly entry was binary; the mono one took the pickle path.
-        assert cache.stats.binary_hits == 1
-
-
 class TestStaleEntries:
     def test_format_version_bump_invalidates(self, cache, monkeypatch):
         cold = cache.cached_run(SOURCE, "t.c", "mono")

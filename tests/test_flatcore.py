@@ -1,28 +1,20 @@
-"""The flat-array (CSR) solver core: its two kernels, its buffers, and
-when it imports numpy.
+"""The flat-array solver core: its two kernels and when it imports numpy.
 
-Four promises are enforced here:
+Two promises are enforced here:
 
 * **agreement** — the stdlib kernel and the numpy/scipy kernel produce
   the same per-variable extreme solutions, the same verdicts (including
   byte-identical unsat messages and blame), and the same
   :class:`SolverStats`, and both agree with ``solve_reference``, on
   hypothesis-generated systems, on the benchmark shapes, and (stdlib
-  only) on lattices too wide for the int64 buffers;
-* **round trip** — serialise -> ``mmap`` -> wrap zero-copy -> solve is
-  byte-identical to the in-memory solve, and re-serialising reproduces
-  the original buffer bit for bit;
-* **laziness** — a deserialised system rehydrates variable names and
-  ``QualVar`` objects only on demand;
+  only) on lattices too wide for the fast kernel's int64 arrays;
 * **import hygiene** — the entry modules and a run over ``examples/``
   never import numpy or scipy; the first solve at the size threshold
   does (unless ``REPRO_FLATCORE=stdlib``).
 """
 
 import json
-import mmap
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +25,7 @@ from hypothesis import strategies as st
 
 import repro.qual.flatcore as flatcore
 from repro.qual.constraints import QualConstraint
-from repro.qual.flatcore import FlatSystem, fast_available, flat_solve
+from repro.qual.flatcore import fast_available, flat_solve
 from repro.qual.lattice import QualifierLattice, negative, positive
 from repro.qual.qtypes import QualVar
 from repro.qual.qualifiers import const_lattice
@@ -118,27 +110,6 @@ def test_stdlib_kernel_matches_fast_kernel(data):
     assert fast == slow
 
 
-@given(constraint_systems())
-@settings(max_examples=100, deadline=None)
-def test_serialised_solve_matches_in_memory(data):
-    lattice, constraints = data
-    system = IndexedSystem(lattice)
-    system.add_many(constraints)
-    for v in _VARS:
-        system.add_var(v)
-    flat = FlatSystem.from_indexed(system)
-    try:
-        in_memory = flat.solve()
-    except UnsatisfiableError:
-        return
-    revived = FlatSystem.from_buffer(flat.to_bytes())
-    rerun = revived.solve()
-    for v in _VARS:
-        assert rerun.least_of(v) == in_memory.least_of(v)
-        assert rerun.greatest_of(v) == in_memory.greatest_of(v)
-    assert str(rerun.stats) == str(in_memory.stats)
-
-
 def big_system(lattice, n=2000):
     """Large enough to cross the solver's fast-path threshold: a chain
     with embedded cycles, a lower bound, and an upper bound."""
@@ -187,7 +158,7 @@ class TestFastPathParity:
 
 
 class TestWideLattice:
-    """Lattices wider than 62 mask bits cannot live in the int64 buffers;
+    """Lattices wider than 62 mask bits cannot live in int64 arrays;
     ``IndexedSystem.solve`` runs them on the stdlib kernel's Python ints."""
 
     lattice = QualifierLattice(
@@ -233,112 +204,16 @@ class TestWideLattice:
         assert raised.value.explain() == reference.value.explain()
 
 
-class TestRoundTrip:
-    def flat_chain(self, with_solution=True):
-        lattice = const_lattice()
-        variables, constraints = big_system(lattice, n=300)
-        system = IndexedSystem(lattice)
-        system.add_many(constraints)
-        flat = FlatSystem.from_indexed(system)
-        if with_solution:
-            flat.attach_solution()
-        return lattice, variables, flat
-
-    def test_serialise_is_deterministic_and_stable(self):
-        _, _, flat = self.flat_chain()
-        blob = flat.to_bytes()
-        assert flat.to_bytes() == blob
-        revived = FlatSystem.from_buffer(blob)
-        revived.attach_solution()
-        assert revived.to_bytes() == blob
-
-    def test_mmap_solve_byte_identical_to_in_memory(self, tmp_path):
-        _, variables, flat = self.flat_chain()
-        in_memory = flat.stored_solution()
-        path = tmp_path / "system.qfc"
-        path.write_bytes(flat.to_bytes())
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            revived = FlatSystem.from_buffer(mapped)
-            stored = revived.stored_solution()
-            resolved = revived.solve()
-            for v in variables:
-                assert stored.least_of(v) == in_memory.least_of(v)
-                assert resolved.least_of(v) == in_memory.least_of(v)
-                assert stored.greatest_of(v) == in_memory.greatest_of(v)
-                assert resolved.greatest_of(v) == in_memory.greatest_of(v)
-            assert str(stored.stats) == str(in_memory.stats)
-            assert str(resolved.stats) == str(in_memory.stats)
-
-    def test_lattice_survives_serialisation(self):
-        lattice = QualifierLattice([positive("const"), negative("nonzero")])
-        system = IndexedSystem(lattice)
-        system.add_many(
-            [QualConstraint(lattice.element("const"), _VARS[0])]
-        )
-        revived = FlatSystem.from_buffer(FlatSystem.from_indexed(system).to_bytes())
-        assert revived.lattice.signature() == lattice.signature()
-        assert revived.lattice == lattice
-
-    def test_truncated_buffers_raise_value_error(self):
-        _, _, flat = self.flat_chain()
-        blob = flat.to_bytes()
-        for cut in (0, 3, flatcore._HEADER.size - 1, flatcore._HEADER.size + 7,
-                    len(blob) // 2, len(blob) - 8):
-            with pytest.raises((ValueError, struct.error)):
-                FlatSystem.from_buffer(blob[:cut])
-
-    def test_bad_magic_and_version_raise(self):
-        _, _, flat = self.flat_chain()
-        blob = bytearray(flat.to_bytes())
-        with pytest.raises(ValueError, match="magic"):
-            FlatSystem.from_buffer(b"NOPE" + bytes(blob[4:]))
-        blob[4] = 0xFF
-        with pytest.raises(ValueError, match="version"):
-            FlatSystem.from_buffer(bytes(blob))
-
-    def test_corrupt_name_table_raises(self):
-        _, _, flat = self.flat_chain()
-        good = flat.to_bytes()
-        # Shrink the declared name-blob length without moving the table.
-        header = list(flatcore._HEADER.unpack_from(good, 0))
-        header[6] -= 1  # names_len
-        bad = flatcore._HEADER.pack(*header) + good[flatcore._HEADER.size :]
-        with pytest.raises(ValueError):
-            FlatSystem.from_buffer(bad)
-
-
-class TestLazyRehydration:
-    def test_names_decoded_on_demand(self):
-        lattice = const_lattice()
-        system = IndexedSystem(lattice)
-        system.add_many(
-            [QualConstraint(_VARS[0], _VARS[1]), QualConstraint(_VARS[1], _VARS[2])]
-        )
-        revived = FlatSystem.from_buffer(FlatSystem.from_indexed(system).to_bytes())
-        assert revived._name_cache == {} and revived._var_cache == {}
-        var = revived.var(1)
-        assert (var.name, var.uid) == (_VARS[1].name, _VARS[1].uid)
-        assert set(revived._var_cache) == {1}
-        assert revived.var(1) is var  # memoised
-
-    def test_index_of_roundtrips_and_rejects_strangers(self):
-        lattice = const_lattice()
-        system = IndexedSystem(lattice)
-        system.add_many([QualConstraint(_VARS[0], _VARS[1])])
-        revived = FlatSystem.from_buffer(FlatSystem.from_indexed(system).to_bytes())
-        assert revived.index_of(_VARS[0]) == 0
-        assert revived.index_of(_VARS[1]) == 1
-        assert revived.index_of(QualVar("stranger", 999_999_999)) is None
-        # Same uid but a different name is not the same variable.
-        assert revived.index_of(QualVar("impostor", _VARS[0].uid)) is None
-
-    def test_solution_defaults_for_unknown_vars(self):
-        lattice = const_lattice()
-        solution = flat_solve([QualConstraint(_VARS[0], _VARS[1])], lattice)
-        stranger = QualVar("stranger", 999_999_998)
-        assert solution.least_of(stranger) == lattice.bottom
-        assert solution.greatest_of(stranger) == lattice.top
+def test_solution_defaults_for_unknown_vars():
+    lattice = const_lattice()
+    solution = flat_solve([QualConstraint(_VARS[0], _VARS[1])], lattice)
+    stranger = QualVar("stranger", 999_999_998)
+    assert solution.least_of(stranger) == lattice.bottom
+    assert solution.greatest_of(stranger) == lattice.top
+    # Same uid but a different name is not the same variable.
+    impostor = QualVar("impostor", _VARS[0].uid)
+    assert solution.least_of(impostor) == lattice.bottom
+    assert solution.greatest_of(impostor) == lattice.top
 
 
 def test_fits_flat_rejects_oversized_lattices():

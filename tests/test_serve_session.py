@@ -122,6 +122,29 @@ def test_whole_program_didchange_reports_invalidated_units(session, corpus):
     assert "invalidated_units" not in result
 
 
+def test_whole_plan_counts_linked_units_without_closure_digests(
+    session, corpus, monkeypatch
+):
+    """The session keeps only the TU graph of a whole-program analyze:
+    ``whole_plan_units`` is its vertex count (one per linked unit), and
+    no per-unit closure digest is computed."""
+    import repro.whole.engine as whole_engine
+
+    def explode(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("the session hashed unit closures")
+
+    monkeypatch.setattr(whole_engine, "unit_closure_digest", explode)
+    producer = corpus / "src" / "producer.c"
+    producer.write_text(PRODUCER)
+    (corpus / "src" / "consumer.c").write_text(CONSUMER)
+    assert session.stats({})["resident"]["whole_plan_units"] == 0
+
+    session.analyze({"paths": [str(corpus / "src")], "whole_program": True})
+    assert session.stats({})["resident"]["whole_plan_units"] == 3
+    result = session.did_change({"file": str(producer), "text": PRODUCER + "\n"})
+    assert str(producer) in result["invalidated_units"]
+
+
 def test_whole_program_warm_parse_memo(session, corpus):
     params = {"paths": [str(corpus / "src")], "whole_program": True}
     session.analyze(params)
