@@ -251,39 +251,55 @@ def lvalue_qtype(
     r-values; by default structs become opaque nullary constructors.
     """
     info: list[LevelInfo] = []
+    return TranslatedType(_cell(ct, 0, info, fresh, struct_shape), info)
 
-    def rvalue_of(t: CType, depth: int) -> QType:
-        """Qualified r-value type of contents with C type ``t``.  The C
-        qualifiers of ``t`` belong to the *cell* holding it, so they are
-        consumed by the caller; here we only build the value shape."""
-        if isinstance(t, CFunc):
-            # Handled before decay: function-to-pointer decay would loop,
-            # and the contents of a function cell is the function shape.
-            args = [rvalue_of(p, depth) for p in t.params]
-            args.append(rvalue_of(t.ret, depth))
-            return QType(fresh(), QCon(fun_con(len(t.params)), tuple(args)))
-        t = decay(t)
-        if isinstance(t, CPointer):
-            # A pointer value is a reference to the pointed-to cell.
-            return cell(t.target, depth + 1)
-        if isinstance(t, CStruct) and struct_shape is not None:
-            return struct_shape(t)
-        if isinstance(t, CStruct):
-            kw = "union" if t.is_union else "struct"
-            return QType(fresh(), QCon(base_con(f"{kw} {t.tag}")))
-        if isinstance(t, CEnum):
-            return QType(fresh(), QCon(base_con("int")))
-        assert isinstance(t, CBase)
-        return QType(fresh(), QCon(base_con(t.kind)))
 
-    def cell(t: CType, depth: int) -> QType:
-        """Qualified type of a *cell* holding a value of C type ``t``:
-        ``Q ref(rvalue)`` where Q is fresh and records declared const."""
-        var = fresh()
-        info.append(LevelInfo(var, is_const(t) if not isinstance(t, CFunc) else False, depth))
-        return QType(var, QCon(REF, (rvalue_of(t, depth),)))
+# Module-level rather than nested in ``lvalue_qtype``: two closures that
+# call each other form a reference cycle, which every translation would
+# leave for the cyclic collector to free.
+def _cell(
+    t: CType,
+    depth: int,
+    info: list[LevelInfo],
+    fresh: Callable[[], Qual],
+    struct_shape: Callable[[CStruct], QType] | None,
+) -> QType:
+    """Qualified type of a *cell* holding a value of C type ``t``:
+    ``Q ref(rvalue)`` where Q is fresh and records declared const."""
+    var = fresh()
+    info.append(LevelInfo(var, is_const(t) if not isinstance(t, CFunc) else False, depth))
+    return QType(var, QCon(REF, (_rvalue(t, depth, info, fresh, struct_shape),)))
 
-    return TranslatedType(cell(ct, 0), info)
+
+def _rvalue(
+    t: CType,
+    depth: int,
+    info: list[LevelInfo],
+    fresh: Callable[[], Qual],
+    struct_shape: Callable[[CStruct], QType] | None,
+) -> QType:
+    """Qualified r-value type of contents with C type ``t``.  The C
+    qualifiers of ``t`` belong to the *cell* holding it, so they are
+    consumed by the caller; here we only build the value shape."""
+    if isinstance(t, CFunc):
+        # Handled before decay: function-to-pointer decay would loop,
+        # and the contents of a function cell is the function shape.
+        args = [_rvalue(p, depth, info, fresh, struct_shape) for p in t.params]
+        args.append(_rvalue(t.ret, depth, info, fresh, struct_shape))
+        return QType(fresh(), QCon(fun_con(len(t.params)), tuple(args)))
+    t = decay(t)
+    if isinstance(t, CPointer):
+        # A pointer value is a reference to the pointed-to cell.
+        return _cell(t.target, depth + 1, info, fresh, struct_shape)
+    if isinstance(t, CStruct) and struct_shape is not None:
+        return struct_shape(t)
+    if isinstance(t, CStruct):
+        kw = "union" if t.is_union else "struct"
+        return QType(fresh(), QCon(base_con(f"{kw} {t.tag}")))
+    if isinstance(t, CEnum):
+        return QType(fresh(), QCon(base_con("int")))
+    assert isinstance(t, CBase)
+    return QType(fresh(), QCon(base_con(t.kind)))
 
 
 def format_ctype(t: CType, name: str = "") -> str:

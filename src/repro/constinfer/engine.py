@@ -19,7 +19,9 @@ of every interesting const position, ready for the Section 4.4 counts.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..cfront.sema import Program
@@ -124,6 +126,29 @@ class InferenceRun:
         return len(self.positions)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause CPython's cyclic garbage collector for the block, then
+    restore whatever state it was in.  Also usable as a decorator.
+
+    An engine run's heap only grows while it runs, and it makes no
+    reference cycles that grow with the program (``tests/test_collector.py``
+    holds it to that), so collector passes over it find next to nothing
+    to free.  Reference counting still frees acyclic garbage at once.
+    The engines are serial, so nothing else runs while the collector is
+    off.  This is the only place in ``src/`` that changes the
+    collector's state (CI checks it).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def run_mono(
     program: Program,
     lattice: QualifierLattice | None = None,
@@ -164,6 +189,7 @@ def run_mono(
     )
 
 
+@_collector_paused()
 def run_poly(
     program: Program,
     lattice: QualifierLattice | None = None,
@@ -256,6 +282,7 @@ def _generalize_component_member(
     )
 
 
+@_collector_paused()
 def run_polyrec(
     program: Program,
     lattice: QualifierLattice | None = None,
@@ -291,8 +318,11 @@ def run_polyrec(
     # signatures) is identical in every fixpoint round: categorise and
     # dedupe it into an indexed system once, then fork a cheap copy per
     # round instead of re-solving the whole accumulated list from scratch.
+    solve_start = time.perf_counter()
     base_system = IndexedSystem(inference.lattice)
     base_system.add_many(inference.constraints[:base_constraints])
+    solve_seconds = time.perf_counter() - solve_start
+    generalize_seconds = 0.0
 
     previous_summary: dict[str, tuple] | None = None
     assumptions: dict[str, "object"] = {}
@@ -315,8 +345,11 @@ def run_polyrec(
             inference.analyze_function(fdef)
         inference.analyze_global_initializers()
 
+        solve_start = time.perf_counter()
         solution = _solve_incremental(base_system, inference, base_constraints)
         summary = _signature_summary(inference, solution)
+        gen_start = time.perf_counter()
+        solve_seconds += gen_start - solve_start
         if summary == previous_summary:
             break
         previous_summary = summary
@@ -327,10 +360,18 @@ def run_polyrec(
             name: _generalize_component_member(inference, name, local, boundary)
             for name in program.functions
         }
+        generalize_seconds += time.perf_counter() - gen_start
     else:
+        solve_start = time.perf_counter()
         solution = _solve_incremental(base_system, inference, base_constraints)
+        solve_seconds += time.perf_counter() - solve_start
 
     elapsed = time.perf_counter() - start
+    timings = StageTimings(
+        congen_seconds=elapsed - solve_seconds - generalize_seconds,
+        solve_seconds=solve_seconds,
+        generalize_seconds=generalize_seconds,
+    )
     return InferenceRun(
         "polyrec",
         solution,
@@ -338,6 +379,7 @@ def run_polyrec(
         len(inference.constraints),
         elapsed,
         inference,
+        timings,
     )
 
 

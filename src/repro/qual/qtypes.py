@@ -210,9 +210,10 @@ class QualVar:
         return result if result is NotImplemented else not result
 
     def __hash__(self) -> int:
-        # CPython caches str hashes, so this avoids the tuple allocation
-        # of a generated dataclass hash on every dictionary lookup.
-        return self.uid ^ hash(self.name)
+        # Consistent with ``__eq__``, which requires equal uids; the same
+        # in every process, and no string hashing on the solver's hot
+        # dictionary lookups.
+        return self.uid
 
 
 class UidBandExhausted(RuntimeError):

@@ -106,6 +106,14 @@ class TestCachedRun:
         assert classifications(cold) == classifications(warm)
         assert cold.constraint_count == warm.constraint_count
 
+    @pytest.mark.parametrize("mode", ["mono", "poly", "polyrec"])
+    def test_cold_run_reports_stage_times(self, cache, mode):
+        timings = cache.cached_run(SOURCE, "t", mode).timings
+        assert timings.congen_seconds > 0
+        assert timings.solve_seconds > 0
+        if mode != "mono":
+            assert timings.generalize_seconds > 0
+
     def test_warm_skips_parse_and_congen(self, cache):
         cache.cached_run(SOURCE, "t", "mono")
         warm = cache.cached_run(SOURCE, "t", "mono")

@@ -1,8 +1,14 @@
 """Unit tests for standard/qualified types and the Section 2.3/3.1
 translations (strip, bottom embedding, spread)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.qual.lattice import LatticeElement
 from repro.qual.qtypes import (
     FUN,
@@ -93,6 +99,35 @@ class TestFreshVars:
 
     def test_hint_in_name(self):
         assert fresh_qual_var("zz").name.startswith("zz")
+
+
+class TestQualVarHash:
+    def test_hash_is_uid(self):
+        v = fresh_qual_var("h")
+        assert hash(v) == v.uid
+
+    def test_impostor_with_same_uid_is_a_distinct_key(self):
+        v = QualVar("k5", 5)
+        impostor = QualVar("other", 5)
+        table = {v: "real", impostor: "impostor"}
+        assert len(table) == 2
+        assert table[QualVar("k5", 5)] == "real"
+        assert table[impostor] == "impostor"
+
+    def test_hash_independent_of_hash_seed(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = "from repro.qual.qtypes import QualVar; print(hash(QualVar('k42', 42)))"
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs == ["42\n", "42\n"]
 
 
 class TestUidBands:
