@@ -146,7 +146,6 @@ def build_suggest_parser() -> argparse.ArgumentParser:
 
 
 def suggest_main(argv: list[str]) -> int:
-    from .runner import discover_files
     from .suggest import (
         render_suggestions_human,
         render_suggestions_json,
@@ -155,20 +154,19 @@ def suggest_main(argv: list[str]) -> int:
     )
 
     args = build_suggest_parser().parse_args(argv)
-    files = [str(p) for p in discover_files(args.paths)]
     if args.whole_program:
         from ..constinfer.cache import AnalysisCache
 
         cache = AnalysisCache(args.cache_dir) if args.cache_dir else None
         suggestions, errors = suggest_paths_whole(
-            files,
+            args.paths,
             include_paths=tuple(args.include_dir),
             top=args.top,
             cache=cache,
         )
     else:
         suggestions, errors = suggest_paths(
-            files, include_paths=tuple(args.include_dir), top=args.top
+            args.paths, include_paths=tuple(args.include_dir), top=args.top
         )
     if args.format == "json":
         rendered = render_suggestions_json(suggestions)

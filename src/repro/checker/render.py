@@ -252,7 +252,6 @@ def render_diagnostics(
 def render_report(
     report,
     format: str = "human",
-    sources: Mapping[str, str] | None = None,
     show_suppressed: bool = False,
     src_root: str | None = None,
 ) -> str:
@@ -266,17 +265,9 @@ def render_report(
     in-band, the human renderer elides them itself), JSON elides
     suppressed findings unless ``show_suppressed``.
 
-    For human output the flagged source lines are excerpted from
-    ``sources``; when ``None``, the report's files are read from disk
-    (the CLI behaviour).  A daemon passes its overlay-merged text.
+    Human output excerpts the flagged source lines from
+    ``report.sources`` — the text the analysis read, overlay included.
     """
-    if format == "human" and sources is None:
-        sources = {}
-        for file in report.files:
-            try:
-                sources[file] = Path(file).read_text(encoding="utf-8", errors="replace")
-            except OSError:
-                pass
     # Unit statuses appear only when ingestion actually degraded a unit,
     # so strict runs and clean best-effort corpora render byte-identically
     # to the pre-ingestion tool.
@@ -287,7 +278,7 @@ def render_report(
         if format == "human" or format == "sarif"
         else [d for d in report.diagnostics if show_suppressed or not d.suppressed],
         format=format,
-        sources=sources,
+        sources=report.sources,
         show_suppressed=show_suppressed,
         src_root=src_root,
         unit_status=degraded or None,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -60,6 +61,9 @@ class CheckerReport:
     #: Best-effort runs only: file -> number of function definitions
     #: that were actually analysed (the recovered-function numerator).
     functions: dict[str, int] = field(default_factory=dict)
+    #: file -> the text the analysis read (overlay or disk); human-format
+    #: excerpts are rendered from it, so they show what was analysed.
+    sources: dict[str, str] = field(default_factory=dict)
 
     @property
     def active(self) -> list[Diagnostic]:
@@ -114,6 +118,35 @@ def discover_files(
     return sorted(out)
 
 
+def load_sources(
+    paths: Iterable[str | Path], overlay: Mapping[str, str] | None = None
+) -> tuple[list[str], dict[str, str], dict[str, str]]:
+    """The one reader of C source text: ``(files, sources, errors)``.
+
+    ``files`` is :func:`discover_files` over ``paths`` (overlay-only
+    files under a listed directory included).  ``sources`` maps each
+    readable file to its text — the overlay's when it has the file,
+    else the disk's, decoded as UTF-8 with undecodable bytes replaced,
+    so a stray Latin-1 byte never fails a unit.  ``errors`` maps each
+    unreadable file to its ``OSError`` text.  Both dicts follow
+    ``files`` order.
+    """
+    files = discover_files(paths, extra=overlay or ())
+    sources: dict[str, str] = {}
+    errors: dict[str, str] = {}
+    for path in files:
+        name = str(path)
+        text = overlay.get(name) if overlay is not None else None
+        if text is None:
+            try:
+                text = path.read_text(encoding="utf-8", errors="replace")
+            except OSError as exc:
+                errors[name] = str(exc)
+                continue
+        sources[name] = text
+    return [str(path) for path in files], sources, errors
+
+
 def _cache_options(
     check_names: tuple[str, ...],
     best_effort: bool = False,
@@ -122,8 +155,8 @@ def _cache_options(
     """The cache-key options for one run's check configuration: the
     enabled names *and* a digest of their full rule sets, so editing a
     check's sources/sinks invalidates cached diagnostics.  Best-effort
-    runs key separately (their payloads carry status/function counts,
-    and the include path list changes what an ``#include`` resolves to).
+    runs key separately (their statuses and function counts differ, and
+    the include path list changes what an ``#include`` resolves to).
     """
     options = {
         "checks": ",".join(check_names),
@@ -133,6 +166,24 @@ def _cache_options(
         options["ingest"] = "best-effort"
         options["include_paths"] = "\x00".join(include_paths)
     return options
+
+
+def _cached_payload(cached: object, status_type: type, count_type: type):
+    """A checker cache entry's ``(diagnostics, status, functions)``
+    tuple, or ``None`` when the entry has any other shape — which the
+    caller treats as a miss and overwrites.  Per-file entries hold a
+    status string and a function count, whole-program entries per-unit
+    dicts of both; strict runs store ``ok``/0 (per-file) or empty dicts.
+    """
+    if (
+        isinstance(cached, tuple)
+        and len(cached) == 3
+        and isinstance(cached[0], list)
+        and isinstance(cached[1], status_type)
+        and isinstance(cached[2], count_type)
+    ):
+        return cached
+    return None
 
 
 def check_one_source(
@@ -167,17 +218,10 @@ def check_one_source(
             source=source,
             options=_cache_options(check_names, best_effort, include_paths),
         )
-        cached = cache.get(key)
-        if not best_effort and isinstance(cached, list):
-            return cached, None, True, "ok", 0
-        if best_effort and isinstance(cached, dict):
-            return (
-                list(cached.get("diagnostics", [])),
-                None,
-                True,
-                str(cached.get("status", "ok")),
-                int(cached.get("functions", 0)),
-            )
+        cached = _cached_payload(cache.get(key), str, int)
+        if cached is not None:
+            diagnostics, status, functions = cached
+            return diagnostics, None, True, status, functions
 
     checks = tuple(check_by_name(name) for name in check_names)
     status = "ok"
@@ -198,38 +242,24 @@ def check_one_source(
     diagnostics = assign_fingerprints(diagnostics, sources)
     diagnostics = apply_suppressions(diagnostics, sources)
     if cache is not None and key is not None:
-        if best_effort:
-            cache.put(
-                key,
-                {
-                    "diagnostics": diagnostics,
-                    "status": status,
-                    "functions": functions,
-                },
-            )
-        else:
-            cache.put(key, diagnostics)
+        cache.put(key, (diagnostics, status, functions))
     return diagnostics, None, False, status, functions
 
 
 def _check_one(
+    source: str,
     path_text: str,
     check_names: tuple[str, ...],
     cache_dir: str | None,
-    best_effort: bool = False,
-    include_paths: tuple[str, ...] = (),
-) -> tuple[str, list[Diagnostic], str | None, bool, str, int]:
-    """Worker: check one file from disk.  Top-level so it pickles into a
-    process pool."""
-    try:
-        source = Path(path_text).read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        return path_text, [], str(exc), False, "skipped", 0
+    best_effort: bool,
+    include_paths: tuple[str, ...],
+) -> tuple[list[Diagnostic], str | None, bool, str, int]:
+    """Worker: :func:`check_one_source` with a cache opened from its
+    directory.  Top-level so it pickles into a process pool."""
     cache = AnalysisCache(cache_dir) if cache_dir else None
-    diagnostics, error, from_cache, status, functions = check_one_source(
+    return check_one_source(
         source, path_text, check_names, cache, best_effort, include_paths
     )
-    return path_text, diagnostics, error, from_cache, status, functions
 
 
 def check_paths(
@@ -250,12 +280,13 @@ def check_paths(
     unsaved editor buffers): a file whose path appears there is checked
     from that text without touching disk.  ``cache`` lends an existing
     :class:`AnalysisCache` handle — its in-memory tier then persists
-    across calls — and takes precedence over ``cache_dir``; both the
-    overlay and a shared handle imply the serial path (the handle's
-    memory tier cannot span processes).  ``parse_unit`` — a ``(name,
-    text) -> TranslationUnit`` callable, strict mode only — replaces the
-    stock parser so a resident parse memo can serve the unit a cache
-    miss re-analyses; it implies the serial path too.
+    across calls — and takes precedence over ``cache_dir``; a shared
+    handle implies the serial path (its memory tier cannot span
+    processes).  ``parse_unit`` — a ``(name, text) -> TranslationUnit``
+    callable, strict mode only — replaces the stock parser so a resident
+    parse memo can serve the unit a cache miss re-analyses; it implies
+    the serial path too.  Files are read once, by :func:`load_sources`
+    here in the coordinator; pool workers receive the text.
 
     ``best_effort`` turns on resilient ingestion: the preprocessor runs
     (``include_paths`` searched for ``#include``), parse errors recover
@@ -267,58 +298,47 @@ def check_paths(
     )
     for name in check_names:
         check_by_name(name)  # fail fast on typos
-    files = discover_files(paths, extra=sources or ())
+    files, texts, unreadable = load_sources(paths, sources)
     cache_text = str(cache_dir) if cache_dir is not None else None
     include_tuple = tuple(str(p) for p in include_paths)
 
-    report = CheckerReport(files=[str(f) for f in files])
-    if (
-        jobs > 1
-        and len(files) > 1
-        and sources is None
-        and cache is None
-        and parse_unit is None
-    ):
+    report = CheckerReport(files=files, sources=texts)
+    names = list(texts)
+    if jobs > 1 and len(names) > 1 and cache is None and parse_unit is None:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(
                     _check_one,
-                    [str(f) for f in files],
-                    [check_names] * len(files),
-                    [cache_text] * len(files),
-                    [best_effort] * len(files),
-                    [include_tuple] * len(files),
+                    texts.values(),
+                    names,
+                    repeat(check_names),
+                    repeat(cache_text),
+                    repeat(best_effort),
+                    repeat(include_tuple),
                 )
             )
     else:
         if cache is None and cache_text is not None:
             cache = AnalysisCache(cache_text)
-        results = []
-        for file in files:
-            path_text = str(file)
-            overlay = sources.get(path_text) if sources is not None else None
-            if overlay is None:
-                try:
-                    source = file.read_text(encoding="utf-8", errors="replace")
-                except OSError as exc:
-                    results.append((path_text, [], str(exc), False, "skipped", 0))
-                    continue
-            else:
-                source = overlay
-            diagnostics, error, from_cache, status, functions = check_one_source(
-                source,
-                path_text,
+        results = [
+            check_one_source(
+                texts[name],
+                name,
                 check_names,
                 cache,
                 best_effort,
                 include_tuple,
                 parse_unit,
             )
-            results.append(
-                (path_text, diagnostics, error, from_cache, status, functions)
-            )
+            for name in names
+        ]
+    by_file = dict(zip(names, results))
+    by_file.update(
+        (name, ([], error, False, "skipped", 0)) for name, error in unreadable.items()
+    )
 
-    for path_text, diagnostics, error, from_cache, status, functions in results:
+    for path_text in files:
+        diagnostics, error, from_cache, status, functions = by_file[path_text]
         if error is not None:
             report.errors[path_text] = error
         report.diagnostics.extend(diagnostics)
@@ -389,28 +409,56 @@ def analyze(
     )
 
 
-def _parse_one_unit(name_text: tuple[str, str]):
-    """Worker: parse one named source to its translation unit.  Returns
-    (name, unit-or-None, error).  Top-level so it pickles into a pool."""
-    from ..cfront.cparser import parse_c
+def _parse_one_unit(
+    name: str, text: str, best_effort: bool, include_paths: tuple[str, ...]
+):
+    """Worker: parse one named source — ``parse_c`` when strict,
+    ``parse_c_resilient`` (a ``ParseResult``) under ``best_effort``.
+    Returns (name, unit-or-ParseResult-or-None, error).  Top-level so it
+    pickles into a pool."""
+    from ..cfront.cparser import parse_c, parse_c_resilient
 
-    name, text = name_text
     try:
+        if best_effort:
+            return name, parse_c_resilient(text, name, include_paths=include_paths), None
         return name, parse_c(text, name), None
-    except Exception as exc:
+    except Exception as exc:  # one bad unit must never kill the batch
         return name, None, f"{type(exc).__name__}: {exc}"
 
 
-def _parse_one_unit_resilient(name_text_paths: tuple[str, str, tuple[str, ...]]):
-    """Worker: resilient parse of one named source.  Returns (name,
-    ParseResult-or-None, error).  Top-level so it pickles into a pool."""
-    from ..cfront.cparser import parse_c_resilient
-
-    name, text, include_paths = name_text_paths
-    try:
-        return name, parse_c_resilient(text, name, include_paths=include_paths), None
-    except Exception as exc:  # recovery itself must never kill the batch
-        return name, None, f"{type(exc).__name__}: {exc}"
+def parse_units(
+    sources: Mapping[str, str],
+    best_effort: bool = False,
+    include_paths: tuple[str, ...] = (),
+    jobs: int = 1,
+    parse_unit: Callable[[str, str], object] | None = None,
+) -> list[tuple[str, object, str | None]]:
+    """Parse every unit of ``sources`` in name order: the one parse step
+    of whole-program checking, whole-program suggestions and the
+    daemon's whole-program plan.  Returns ``(name, unit, error)``
+    triples as :func:`_parse_one_unit` does, over a process pool when
+    ``jobs > 1``.  ``parse_unit`` — a ``(name, text)`` callable such as
+    a resident parse memo — replaces the worker and implies the serial
+    path."""
+    names = sorted(sources)
+    if parse_unit is not None:
+        parsed = []
+        for name in names:
+            try:
+                parsed.append((name, parse_unit(name, sources[name]), None))
+            except Exception as exc:
+                parsed.append((name, None, f"{type(exc).__name__}: {exc}"))
+        return parsed
+    args = (
+        names,
+        [sources[name] for name in names],
+        repeat(best_effort),
+        repeat(include_paths),
+    )
+    if jobs > 1 and len(names) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_parse_one_unit, *args))
+    return list(map(_parse_one_unit, *args))
 
 
 def check_whole_program(
@@ -429,19 +477,20 @@ def check_whole_program(
     and check it whole, so qualifier flows through ``extern`` symbols
     and cross-TU calls are visible and flow paths may span files.
 
-    ``jobs`` parallelises the per-TU parse; linking and checking run
-    once over the merged program, and diagnostics are deterministic at
-    any job count.  A file that fails to parse is reported under
-    ``errors`` and linked around (best-effort, like a real linker).
-    Results are memoised whole: the cache key covers every unit's name
-    and text, the enabled check set, and the analyser code fingerprint.
+    ``jobs`` parallelises the per-TU parse (:func:`parse_units`);
+    linking and checking run once over the merged program, and
+    diagnostics are deterministic at any job count.  A file that fails
+    to parse is reported under ``errors`` and linked around
+    (best-effort, like a real linker).  Results are memoised whole: the
+    cache key covers every unit's name and text, the enabled check set,
+    and the analyser code fingerprint.
 
     The daemon hooks: ``sources`` overlays in-memory unit text over the
     filesystem, ``cache`` lends a long-lived handle (memory tier and
     all), and ``parse_unit`` — a ``(name, text) -> TranslationUnit``
     callable (or ``-> ParseResult`` under ``best_effort``) — replaces
     the stock parser so a resident parse memo can serve unchanged
-    units; any of the three implies the serial path.
+    units; it implies the serial path.
 
     With ``best_effort`` every unit parses resiliently: partial units
     link with whatever declarations they kept, wholly unusable units
@@ -462,30 +511,20 @@ def check_whole_program(
     for name in check_names:
         check_by_name(name)  # fail fast on typos
     include_tuple = tuple(str(p) for p in include_paths)
-    overlay = sources
-    files = discover_files(paths, extra=overlay or ())
+    files, texts, unreadable = load_sources(paths, sources)
 
-    report = CheckerReport(files=[str(f) for f in files])
-    sources = {}
-    for path in files:
-        text = overlay.get(str(path)) if overlay is not None else None
-        if text is not None:
-            sources[str(path)] = text
-            continue
-        try:
-            sources[str(path)] = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            report.errors[str(path)] = str(exc)
-            if best_effort:
-                report.unit_status[str(path)] = "skipped"
-                report.functions[str(path)] = 0
+    report = CheckerReport(files=files, sources=texts, errors=dict(unreadable))
+    if best_effort:
+        for name in unreadable:
+            report.unit_status[name] = "skipped"
+            report.functions[name] = 0
 
     if cache is None and cache_dir is not None:
         cache = AnalysisCache(cache_dir)
     key = None
     if cache is not None:
         combined = "\x00".join(
-            f"{name}\x01{sources[name]}" for name in sorted(sources)
+            f"{name}\x01{texts[name]}" for name in sorted(texts)
         )
         key = cache.key(
             WHOLE_CACHE_KIND,
@@ -493,19 +532,12 @@ def check_whole_program(
             mode="whole",
             options=_cache_options(check_names, best_effort, include_tuple),
         )
-        cached = cache.get(key)
-        hit = (
-            isinstance(cached, dict)
-            if best_effort
-            else isinstance(cached, list)
-        )
-        if hit:
-            if best_effort:
-                report.diagnostics = list(cached.get("diagnostics", []))
-                report.unit_status.update(cached.get("unit_status", {}))
-                report.functions.update(cached.get("functions", {}))
-            else:
-                report.diagnostics = list(cached)
+        cached = _cached_payload(cache.get(key), dict, dict)
+        if cached is not None:
+            diagnostics, unit_status, functions = cached
+            report.diagnostics = list(diagnostics)
+            report.unit_status.update(unit_status)
+            report.functions.update(functions)
             report.cache_hits = 1
             if baseline is not None:
                 report.new_findings, report.lost_fingerprints = baseline.compare(
@@ -513,36 +545,11 @@ def check_whole_program(
                 )
             return report
 
-    items = sorted(sources.items())
-    if parse_unit is not None:
-        parsed = []
-        for name, text in items:
-            try:
-                parsed.append((name, parse_unit(name, text), None))
-            except Exception as exc:
-                parsed.append((name, None, f"{type(exc).__name__}: {exc}"))
-    elif best_effort and jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(
-                pool.map(
-                    _parse_one_unit_resilient,
-                    [(name, text, include_tuple) for name, text in items],
-                )
-            )
-    elif best_effort:
-        parsed = [
-            _parse_one_unit_resilient((name, text, include_tuple))
-            for name, text in items
-        ]
-    elif jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(_parse_one_unit, items))
-    else:
-        parsed = [_parse_one_unit(item) for item in items]
-
     units = []
     front_findings: list[Diagnostic] = []
-    for name, unit, error in parsed:
+    for name, unit, error in parse_units(
+        texts, best_effort, include_tuple, jobs, parse_unit
+    ):
         if error is not None:
             report.errors[name] = error
             if best_effort:
@@ -568,7 +575,7 @@ def check_whole_program(
             units.append(unit)
 
     try:
-        linked = link_units(units, sources=sources)
+        linked = link_units(units, sources=texts)
         diagnostics = check_linked_program(
             linked,
             tuple(check_by_name(name) for name in check_names),
@@ -581,22 +588,14 @@ def check_whole_program(
 
     if front_findings:
         diagnostics = sorted(diagnostics + front_findings, key=_sort_key)
-    diagnostics = assign_fingerprints(diagnostics, sources)
-    diagnostics = apply_suppressions(diagnostics, sources)
+    diagnostics = assign_fingerprints(diagnostics, texts)
+    diagnostics = apply_suppressions(diagnostics, texts)
     report.diagnostics = diagnostics
     report.cache_misses = 1
     if cache is not None and key is not None:
-        if best_effort:
-            cache.put(
-                key,
-                {
-                    "diagnostics": diagnostics,
-                    "unit_status": dict(report.unit_status),
-                    "functions": dict(report.functions),
-                },
-            )
-        else:
-            cache.put(key, diagnostics)
+        cache.put(
+            key, (diagnostics, dict(report.unit_status), dict(report.functions))
+        )
 
     if baseline is not None:
         report.new_findings, report.lost_fingerprints = baseline.compare(

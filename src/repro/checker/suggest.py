@@ -403,24 +403,21 @@ def suggest_paths(
     paths: list[str],
     include_paths: tuple[str, ...] = (),
     top: int = 3,
+    sources=None,
 ) -> tuple[list[Suggestion], dict[str, str]]:
     """Suggestions for several files, concatenated in path order.
 
     Returns ``(suggestions, errors)``; unreadable files land in
-    ``errors`` instead of raising, mirroring the checker runner."""
+    ``errors`` instead of raising, mirroring the checker runner.
+    ``sources`` overlays in-memory text over the filesystem, as in
+    :func:`suggest_paths_whole`."""
+    from .runner import load_sources
+
+    _, texts, errors = load_sources(paths, sources)
     out: list[Suggestion] = []
-    errors: dict[str, str] = {}
-    for path in paths:
-        try:
-            with open(path, "r") as handle:
-                source = handle.read()
-        except OSError as exc:
-            errors[str(path)] = str(exc)
-            continue
+    for name, text in texts.items():
         out.extend(
-            suggest_source(
-                source, str(path), include_paths=include_paths, top=top
-            )
+            suggest_source(text, name, include_paths=include_paths, top=top)
         )
     return out, errors
 
@@ -444,44 +441,24 @@ def suggest_paths_whole(
     per-unit ownership tier, and ``parse_unit`` replaces the stock
     resilient parser.  CLI and daemon both funnel through here, which
     is what makes their outputs byte-identical."""
-    from ..cfront.cparser import parse_c_resilient
     from ..whole.linker import link_units
-    from .runner import discover_files
+    from .runner import load_sources, parse_units
 
-    files = discover_files(paths, extra=sources or ())
+    _, texts, errors = load_sources(paths, sources)
     out: list[Suggestion] = []
-    errors: dict[str, str] = {}
-    unit_sources: dict[str, str] = {}
-    for path in files:
-        text = sources.get(str(path)) if sources is not None else None
-        if text is None:
-            try:
-                with open(path, "r") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                errors[str(path)] = str(exc)
-                continue
-        unit_sources[str(path)] = text
-
     units = []
-    for name in sorted(unit_sources):
-        text = unit_sources[name]
-        try:
-            if parse_unit is not None:
-                parsed = parse_unit(name, text)
-            else:
-                parsed = parse_c_resilient(
-                    text, name, include_paths=include_paths
-                )
-        except Exception as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
+    for name, parsed, error in parse_units(
+        texts, best_effort=True, include_paths=include_paths, parse_unit=parse_unit
+    ):
+        if error is not None:
+            errors[name] = error
             continue
         unit = getattr(parsed, "unit", parsed)
         if unit is not None:
             units.append(unit)
 
     try:
-        linked = link_units(units, sources=unit_sources)
+        linked = link_units(units, sources=texts)
     except Exception as exc:
         errors["<whole-program>"] = f"{type(exc).__name__}: {exc}"
         return out, errors

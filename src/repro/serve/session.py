@@ -28,13 +28,13 @@ from __future__ import annotations
 import hashlib
 import tempfile
 import time
-from typing import Any
+from typing import Any, Callable
 
 from ..cfront.cparser import parse_c, parse_c_resilient
 from ..cfront.cpp import is_directive_free
 from ..checker.checks import DEFAULT_CHECKS, check_by_name
 from ..checker.render import render_report
-from ..checker.runner import analyze as run_analysis
+from ..checker.runner import analyze as run_analysis, discover_files, parse_units
 from ..constinfer.cache import AnalysisCache
 from ..constinfer.fdg import FunctionDependenceGraph
 from ..whole.engine import affected_units, tu_dependence_graph
@@ -208,7 +208,6 @@ class Session:
         rendered = render_report(
             report,
             format=fmt,
-            sources=self._render_sources(report.files) if fmt == "human" else None,
             show_suppressed=show_suppressed,
             src_root=src_root,
         )
@@ -217,7 +216,7 @@ class Session:
         self._last_analyze_seconds = end - start
 
         if whole:
-            self._whole_plan = self._build_whole_plan(report.files)
+            self._whole_plan = self._build_whole_plan(report.sources, parse_unit)
 
         # Remember each clean file's findings so a later edit that breaks
         # the file can still serve resident diagnostics (see didChange).
@@ -256,12 +255,11 @@ class Session:
         :mod:`repro.checker.suggest` renderers as ``qlint suggest``, so
         a daemon response's ``report`` string is byte-identical to the
         one-shot CLI's stdout over the same files."""
-        from ..checker.runner import discover_files
         from ..checker.suggest import (
             render_suggestions_human,
             render_suggestions_json,
+            suggest_paths,
             suggest_paths_whole,
-            suggest_source,
         )
 
         paths = params.get("paths")
@@ -294,8 +292,6 @@ class Session:
         parse_before = self._parse_seconds
         start = time.perf_counter()
         files = [str(p) for p in discover_files(paths)]
-        suggestions = []
-        errors: dict[str, str] = {}
         if whole:
             # Same shared path the CLI takes, with the session's overlay,
             # cache, and resilient parse memo threaded in.  The ownership
@@ -310,21 +306,12 @@ class Session:
                 parse_unit=self.parse_unit_resilient,
             )
         else:
-            for file in files:
-                text = self.overlay.get(file)
-                if text is None:
-                    try:
-                        from pathlib import Path
-
-                        text = Path(file).read_text(encoding="utf-8")
-                    except OSError as exc:
-                        errors[file] = str(exc)
-                        continue
-                suggestions.extend(
-                    suggest_source(
-                        text, file, include_paths=tuple(include_paths), top=top
-                    )
-                )
+            suggestions, errors = suggest_paths(
+                files,
+                include_paths=tuple(include_paths),
+                top=top,
+                sources=self.overlay,
+            )
         analyzed = time.perf_counter()
         if fmt == "json":
             rendered = render_suggestions_json(suggestions)
@@ -451,43 +438,19 @@ class Session:
         self._analyze_seconds += analyzed - start - (self._parse_seconds - parse_before)
         self._render_seconds += end - analyzed
 
-    def _render_sources(self, files: list[str]) -> dict[str, str]:
-        """Source text for human-format excerpts: the session's view —
-        overlay first, then disk (matching what was analysed)."""
-        out: dict[str, str] = {}
-        for file in files:
-            text = self.overlay.get(file)
-            if text is None:
-                try:
-                    from pathlib import Path
-
-                    text = Path(file).read_text(encoding="utf-8", errors="replace")
-                except OSError:
-                    continue
-            out[file] = text
-        return out
-
-    def _build_whole_plan(self, files: list[str]) -> FunctionDependenceGraph | None:
-        """Link the current view of ``files`` (parse memo makes this
-        cheap — every unit was just parsed) and snapshot its TU
-        dependence graph, or ``None`` if linking fails."""
-        sources: dict[str, str] = {}
-        for file in files:
-            text = self.overlay.get(file)
-            if text is None:
-                try:
-                    from pathlib import Path
-
-                    text = Path(file).read_text(encoding="utf-8", errors="replace")
-                except OSError:
-                    continue
-            sources[file] = text
-        units = []
-        for name in sorted(sources):
-            try:
-                units.append(self.parse_unit(name, sources[name]))
-            except Exception:
-                continue  # unparseable units are linked around, as in the runner
+    def _build_whole_plan(
+        self, sources: dict[str, str], parse_unit: Callable[[str, str], Any]
+    ) -> FunctionDependenceGraph | None:
+        """Link the analysed text of every unit and snapshot its TU
+        dependence graph, or ``None`` if linking fails.  ``parse_unit``
+        is the memo the analysis parsed through, so every unit comes
+        back from the memo and the plan links the same parses the
+        analysis did."""
+        units = [
+            getattr(unit, "unit", unit)  # a resilient parse's salvaged unit
+            for _, unit, error in parse_units(sources, parse_unit=parse_unit)
+            if error is None  # unparseable units are linked around, as in the runner
+        ]
         try:
             return tu_dependence_graph(link_units(units, sources=sources))
         except Exception:

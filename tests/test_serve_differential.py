@@ -1,9 +1,10 @@
-"""Differential tests: the daemon's ``analyze`` response must carry the
-same rendered report, **byte for byte**, as the stdout of the one-shot
-``python -m repro.checker`` over the same tree — across formats,
-per-file and whole-program modes, and cold versus warm (memory-tier)
-session states."""
+"""Differential tests: the daemon's ``analyze`` and ``suggest``
+responses must carry the same rendered report, **byte for byte**, as the
+stdout of the one-shot ``python -m repro.checker`` (``... suggest``) over
+the same tree — across formats, per-file and whole-program modes, cold
+versus warm (memory-tier) session states, and overlay edits."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,47 @@ def test_check_subset_matches_one_shot(capsys, session):
         {"paths": [str(CORPUS)], "format": "json", "checks": ["tainted-format"]}
     )
     assert result["report"] == expected_out
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("whole", [False, True])
+def test_daemon_suggest_matches_one_shot_cold_and_warm(capsys, session, fmt, whole):
+    argv = ["suggest", str(CORPUS), "--format", fmt]
+    argv += ["--whole-program"] if whole else []
+    expected_out, expected_code = one_shot(capsys, argv)
+    assert "suggestion" in expected_out  # the corpus yields suggestions
+
+    params = {"paths": [str(CORPUS)], "format": fmt, "whole_program": whole}
+    for _ in range(2):  # cold, then warm (memo and memory tier primed)
+        result = session.suggest(params)
+        assert result["report"] == expected_out
+        assert result["exit_code"] == expected_code
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("whole", [False, True])
+def test_daemon_suggest_after_edit_matches_one_shot(
+    capsys, tmp_path, session, fmt, whole
+):
+    """A ``didChange`` overlay edit reaches ``suggest`` exactly as the
+    same text saved to disk reaches the one-shot CLI."""
+    tree = tmp_path / "tree"
+    shutil.copytree(CORPUS, tree)
+    target = tree / "report.c"
+    edited = target.read_text() + (
+        "void *malloc(unsigned long size);\n"
+        "char *fresh_copy(void) { char *copy = malloc(8); return copy; }\n"
+    )
+    params = {"paths": [str(tree)], "format": fmt, "whole_program": whole}
+    before = session.suggest(params)["report"]
+
+    session.did_change({"file": str(target), "text": edited})
+    from_overlay = session.suggest(params)
+    target.write_text(edited)
+    argv = ["suggest", str(tree), "--format", fmt]
+    expected_out, expected_code = one_shot(
+        capsys, argv + (["--whole-program"] if whole else [])
+    )
+    assert expected_out != before  # the edit changes the suggestions
+    assert from_overlay["report"] == expected_out
+    assert from_overlay["exit_code"] == expected_code
