@@ -218,34 +218,39 @@ def statements(stmt: CStmt) -> Iterator[CStmt]:
             return
 
 
+def statement_expressions(stmt: CStmt) -> Iterator[CExpr]:
+    """The expressions one statement holds itself, in source order:
+    conditions, steps, values and declaration initialisers, but not
+    those of its sub-statements (:func:`statements` enumerates them)."""
+    match stmt:
+        case ExprStmt(expr=e) | SwitchStmt(value=e) | DoWhileStmt(cond=e):
+            yield e
+        case IfStmt(cond=c) | WhileStmt(cond=c):
+            yield c
+        case ForStmt(init=init, cond=cond, step=step):
+            if init is not None and not isinstance(init, DeclStmt):
+                yield init
+            if cond is not None:
+                yield cond
+            if step is not None:
+                yield step
+        case ReturnStmt(value=v) | CaseStmt(value=v):
+            if v is not None:
+                yield v
+        case DeclStmt(decls=decls):
+            for decl in decls:
+                if decl.init is not None:
+                    yield decl.init
+        case _:
+            return
+
+
 def expressions_of(stmt: CStmt) -> Iterator[CExpr]:
     """All expressions syntactically contained in a statement tree,
     including declaration initialisers."""
     for s in statements(stmt):
-        match s:
-            case ExprStmt(expr=e) | SwitchStmt(value=e) | DoWhileStmt(cond=e):
-                yield from subexpressions(e)
-            case IfStmt(cond=c) | WhileStmt(cond=c):
-                yield from subexpressions(c)
-            case ForStmt(init=init, cond=cond, step=step):
-                if init is not None and not isinstance(init, DeclStmt):
-                    yield from subexpressions(init)
-                if cond is not None:
-                    yield from subexpressions(cond)
-                if step is not None:
-                    yield from subexpressions(step)
-            case ReturnStmt(value=v):
-                if v is not None:
-                    yield from subexpressions(v)
-            case CaseStmt(value=v):
-                if v is not None:
-                    yield from subexpressions(v)
-            case DeclStmt(decls=decls):
-                for decl in decls:
-                    if decl.init is not None:
-                        yield from subexpressions(decl.init)
-            case _:
-                continue
+        for e in statement_expressions(s):
+            yield from subexpressions(e)
 
 
 def occurring_names(fdef: FuncDef) -> set[str]:

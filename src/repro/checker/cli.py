@@ -158,14 +158,14 @@ def suggest_main(argv: list[str]) -> int:
         from ..constinfer.cache import AnalysisCache
 
         cache = AnalysisCache(args.cache_dir) if args.cache_dir else None
-        suggestions, errors = suggest_paths_whole(
+        _, suggestions, errors = suggest_paths_whole(
             args.paths,
             include_paths=tuple(args.include_dir),
             top=args.top,
             cache=cache,
         )
     else:
-        suggestions, errors = suggest_paths(
+        _, suggestions, errors = suggest_paths(
             args.paths, include_paths=tuple(args.include_dir), top=args.top
         )
     if args.format == "json":

@@ -404,22 +404,23 @@ def suggest_paths(
     include_paths: tuple[str, ...] = (),
     top: int = 3,
     sources=None,
-) -> tuple[list[Suggestion], dict[str, str]]:
+) -> tuple[list[str], list[Suggestion], dict[str, str]]:
     """Suggestions for several files, concatenated in path order.
 
-    Returns ``(suggestions, errors)``; unreadable files land in
-    ``errors`` instead of raising, mirroring the checker runner.
-    ``sources`` overlays in-memory text over the filesystem, as in
-    :func:`suggest_paths_whole`."""
+    Returns ``(files, suggestions, errors)``: ``files`` is what
+    :func:`~repro.checker.runner.load_sources` discovered, and
+    unreadable files land in ``errors`` instead of raising, mirroring
+    the checker runner.  ``sources`` overlays in-memory text over the
+    filesystem, as in :func:`suggest_paths_whole`."""
     from .runner import load_sources
 
-    _, texts, errors = load_sources(paths, sources)
+    files, texts, errors = load_sources(paths, sources)
     out: list[Suggestion] = []
     for name, text in texts.items():
         out.extend(
             suggest_source(text, name, include_paths=include_paths, top=top)
         )
-    return out, errors
+    return files, out, errors
 
 
 def suggest_paths_whole(
@@ -429,7 +430,7 @@ def suggest_paths_whole(
     sources=None,
     cache=None,
     parse_unit=None,
-) -> tuple[list[Suggestion], dict[str, str]]:
+) -> tuple[list[str], list[Suggestion], dict[str, str]]:
     """Whole-program suggestions: link every unit, infer ownership
     summaries bottom-up over the cross-TU call graph, and suggest over
     the merged program — so ``alloc`` confidence reflects resolved
@@ -440,11 +441,12 @@ def suggest_paths_whole(
     long-lived :class:`~repro.constinfer.cache.AnalysisCache` for the
     per-unit ownership tier, and ``parse_unit`` replaces the stock
     resilient parser.  CLI and daemon both funnel through here, which
-    is what makes their outputs byte-identical."""
+    is what makes their outputs byte-identical.  Returns ``(files,
+    suggestions, errors)`` like :func:`suggest_paths`."""
     from ..whole.linker import link_units
     from .runner import load_sources, parse_units
 
-    _, texts, errors = load_sources(paths, sources)
+    files, texts, errors = load_sources(paths, sources)
     out: list[Suggestion] = []
     units = []
     for name, parsed, error in parse_units(
@@ -461,7 +463,7 @@ def suggest_paths_whole(
         linked = link_units(units, sources=texts)
     except Exception as exc:
         errors["<whole-program>"] = f"{type(exc).__name__}: {exc}"
-        return out, errors
+        return files, out, errors
     try:
         from ..whole.ownership import ownership_for_linked
 
@@ -472,7 +474,7 @@ def suggest_paths_whole(
         out = suggest_program(linked.program, top=top, ownership=ownership)
     except Exception:
         out = []
-    return out, errors
+    return files, out, errors
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,11 @@ class _MemoryTier:
         while len(entries) > self.maxsize:
             entries.popitem(last=False)
 
+    def drop(self, key: str) -> None:
+        """Forget every decoded form of ``key`` (its entry was rewritten)."""
+        for accessor in ("obj", "bytes"):
+            self._entries.pop((accessor, key), None)
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -309,6 +314,7 @@ class AnalysisCache:
             except OSError:
                 pass
             raise
+        self.memory.drop(key)
         self.stats.stores += 1
 
     def put(self, key: str, value: object) -> None:
@@ -317,6 +323,8 @@ class AnalysisCache:
         The memory tier is read-through only — it is populated by a
         successful *disk* read, never by a write — so the on-disk entry
         stays the source of truth and a corrupt entry is always a miss.
+        A write drops the key from the tier, so a rewritten entry is
+        read back from disk, not served stale from memory.
         """
         self._write_atomic(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 

@@ -11,9 +11,10 @@ constraints between adjacent points except across strong updates.
   (assignments, havoc, annotations/assertions, conditional refinement,
   branches, loops).
 * :mod:`repro.flowsens.analysis` — the constraint-based forward
-  analysis, solved with the unchanged atomic solver.
-* :mod:`repro.flowsens.heap` — the weak-update half: flow-insensitive
-  heap cells behind a small flow-sensitive points-to map.
+  analysis, solved with the unchanged atomic solver: strongly updated
+  scalars plus the weak-update half, flow-insensitive heap cells behind
+  a small flow-sensitive points-to map.  Its ``FlowAnalysis`` is the
+  one walker of the language; the resource pack subclasses it.
 * :mod:`repro.flowsens.lower` — best-effort lowering from cfront
   function bodies into this language (pointer events, branches, loops,
   havoc for everything unsupported).
@@ -29,7 +30,6 @@ from .analysis import (
     FlowResult,
     analyze_flow,
 )
-from .heap import HeapFlowAnalysis, analyze_heap_flow
 from .language import (
     AnnotStmt,
     Assign,

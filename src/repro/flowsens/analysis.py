@@ -11,6 +11,16 @@ point.  Statements relate adjacent points:
   loop back edges flow into the loop-head variable — the atomic solver's
   fixpoint handles the cycle directly.
 
+Heap cells, reached through pointers that may alias, get the dual
+treatment the sketch prescribes for non-strong updates: each allocation
+*site* has **one** flow-insensitive qualifier variable, stores join
+values in (``value <= cell``), and loads read the accumulated contents
+out.  A small flow-sensitive points-to map tracks which sites each
+pointer variable may reference (strong updates on the pointer variables
+themselves, set-union at merges, fixpoint over loop back edges).
+Programs mix strongly-updated locals and weakly-updated cells, which is
+exactly the shape of the lclint workloads the paper discusses.
+
 The result is a classic forward dataflow analysis, obtained purely by
 constraint generation over the existing :mod:`repro.qual.solver` — no
 new solving machinery, which is the point of the paper's sketch.
@@ -34,13 +44,20 @@ from .language import (
     Assign,
     AssertStmt,
     Block,
+    CopyPtr,
+    ExitPoint,
     FlowExpr,
     FlowStmt,
+    FreeCell,
     Havoc,
     If,
     Join,
     Literal,
+    LoadCell,
+    NewCell,
     Refine,
+    StoreCell,
+    UseCell,
     VarRef,
     While,
 )
@@ -96,137 +113,254 @@ class FlowResult:
         return self.value_of(self.final_env[variable])
 
 
+PointsTo = dict[str, frozenset[str]]
+
+
+@dataclass
+class _State:
+    """Per-program-point environment: scalar types + points-to sets."""
+
+    vals: dict[str, Qual] = field(default_factory=dict)
+    ptrs: PointsTo = field(default_factory=dict)
+
+    def copy(self) -> "_State":
+        return _State(dict(self.vals), dict(self.ptrs))
+
+
 class FlowAnalysis:
-    """Forward flow-sensitive qualifier analysis over a fixed lattice."""
+    """Flow-sensitive scalars + flow-insensitive heap cells over a fixed
+    lattice: the one transfer function of the flow language."""
 
     def __init__(self, lattice: QualifierLattice):
         self.lattice = lattice
         self.constraints: list[QualConstraint] = []
         #: (kind, variable, label, qual at the point, required bound)
         self.checks: list[tuple[str, str, str, Qual, LatticeElement]] = []
+        self.cell_vars: dict[str, QualVar] = {}
+        #: off during loop points-to trials, so each check (and each
+        #: event a subclass records) is recorded once, by the exit pass
+        self._recording = True
 
-    # -- helpers ---------------------------------------------------------
-    def _emit(self, lhs: Qual, rhs: Qual, reason: str) -> None:
-        self.constraints.append(QualConstraint(lhs, rhs, Origin(reason)))
+    # -- plumbing --------------------------------------------------------
+    def _emit(
+        self, lhs: Qual, rhs: Qual, reason: str, at: FlowStmt | None = None
+    ) -> None:
+        self.constraints.append(QualConstraint(lhs, rhs, self._origin(reason, at)))
 
-    def _eval(self, expr: FlowExpr, env: dict[str, Qual]) -> Qual:
+    @staticmethod
+    def _origin(reason: str, at: FlowStmt | None = None) -> Origin:
+        """Origin for one constraint; statements lowered from C carry a
+        span, so flow paths through lowered programs name file:line:col."""
+        if at is not None and at.line:
+            return Origin(reason, at.file or None, at.line, at.col or None)
+        return Origin(reason)
+
+    def cell(self, site: str) -> QualVar:
+        if site not in self.cell_vars:
+            self.cell_vars[site] = fresh_qual_var(f"cell_{site}_")
+        return self.cell_vars[site]
+
+    def _check(self, kind: str, stmt: AnnotStmt | AssertStmt, state: _State) -> None:
+        x = stmt.target
+        if x not in state.vals:
+            raise FlowError(f"{kind} of undefined variable {x!r}")
+        if self._recording:
+            self.checks.append((kind, x, stmt.label, state.vals[x], stmt.level))
+
+    def _eval(self, expr: FlowExpr, state: _State) -> Qual:
         match expr:
             case VarRef(name=name):
-                if name not in env:
+                if name not in state.vals:
                     raise FlowError(f"use of undefined variable {name!r}")
-                return env[name]
+                return state.vals[name]
             case Literal(qual=q):
                 if q.lattice != self.lattice:
                     raise FlowError(f"literal {q} is not from lattice {self.lattice}")
                 return q
             case Join(left=left, right=right):
                 out = fresh_qual_var("join")
-                self._emit(self._eval(left, env), out, "join-left")
-                self._emit(self._eval(right, env), out, "join-right")
+                self._emit(self._eval(left, state), out, "join-left")
+                self._emit(self._eval(right, state), out, "join-right")
                 return out
-            case _:  # pragma: no cover - exhaustive
+            case _:
                 raise FlowError(f"unknown expression {expr!r}")
 
-    def _merge(
-        self, a: dict[str, Qual], b: dict[str, Qual], reason: str
-    ) -> dict[str, Qual]:
-        """Join two environments: fresh merge variables where they differ."""
-        out: dict[str, Qual] = {}
-        for name in set(a) | set(b):
-            qa, qb = a.get(name), b.get(name)
+    def _sites_of(self, state: _State, pointer: str) -> frozenset[str]:
+        if pointer not in state.ptrs:
+            raise FlowError(f"{pointer!r} is not a pointer variable here")
+        return state.ptrs[pointer]
+
+    def _merge(self, a: _State, b: _State, reason: str) -> _State:
+        """Join two states: fresh merge variables where the values
+        differ, set-union of the points-to sets."""
+        out = _State()
+        for name in set(a.vals) | set(b.vals):
+            qa, qb = a.vals.get(name), b.vals.get(name)
             if qa is None or qb is None:
                 # defined on one path only: conservative, keep the one
                 # that exists (uses on the other path would be errors).
-                out[name] = qa if qa is not None else qb  # type: ignore[assignment]
-                continue
-            if qa == qb:
-                out[name] = qa
-                continue
-            merged = fresh_qual_var("merge")
-            self._emit(qa, merged, f"{reason}-left")
-            self._emit(qb, merged, f"{reason}-right")
-            out[name] = merged
+                out.vals[name] = qa if qa is not None else qb  # type: ignore[assignment]
+            elif qa == qb:
+                out.vals[name] = qa
+            else:
+                merged = fresh_qual_var("merge")
+                self._emit(qa, merged, f"{reason}-left")
+                self._emit(qb, merged, f"{reason}-right")
+                out.vals[name] = merged
+        for name in set(a.ptrs) | set(b.ptrs):
+            out.ptrs[name] = a.ptrs.get(name, frozenset()) | b.ptrs.get(
+                name, frozenset()
+            )
         return out
 
-    # -- statement transfer ------------------------------------------------
-    def _stmt(self, stmt: FlowStmt, env: dict[str, Qual]) -> dict[str, Qual]:
+    # -- transfer ---------------------------------------------------------
+    def _stmt(self, stmt: FlowStmt, state: _State) -> _State:
         match stmt:
-            case Assign(target=x, value=rhs):
-                value = self._eval(rhs, env)
+            case NewCell(target=p, site=site):
+                self.cell(site)
+                out = state.copy()
+                out.ptrs[p] = frozenset({site})
+                # The pointer variable's own value (the pointer itself)
+                # is fresh and unconstrained — defined, so value packs
+                # can mention p without tripping the undefined-use check.
+                out.vals[p] = fresh_qual_var(f"{p}_ptr")
+                return out
+
+            case CopyPtr(target=q, source=p):
+                sites = self._sites_of(state, p)
+                out = state.copy()
+                out.ptrs[q] = sites
+                # q's value IS p's value (the copied pointer), so value
+                # qualifiers riding the pointer itself follow the copy.
+                copied = state.vals.get(p)
+                out.vals[q] = (
+                    copied if copied is not None else fresh_qual_var(f"{q}_ptr")
+                )
+                return out
+
+            case StoreCell(pointer=p, value=value):
+                stored = self._eval(value, state)
+                for site in self._sites_of(state, p):
+                    # weak update: the value joins the cell's contents
+                    self._emit(stored, self.cell(site), f"store into {site}", stmt)
+                return state
+
+            case LoadCell(target=x, pointer=p):
+                loaded = fresh_qual_var(f"{x}_load")
+                for site in self._sites_of(state, p):
+                    self._emit(self.cell(site), loaded, f"load from {site}", stmt)
+                out = state.copy()
+                out.vals[x] = loaded
+                out.ptrs.pop(x, None)
+                return out
+
+            case Assign(target=x, value=value):
+                rhs = self._eval(value, state)
                 after = fresh_qual_var(f"{x}_")
-                self._emit(value, after, f"assign {x}")
-                return {**env, x: after}  # strong update: no old inflow
+                self._emit(rhs, after, f"assign {x}", stmt)
+                out = state.copy()
+                out.vals[x] = after  # strong update: no old inflow
+                out.ptrs.pop(x, None)
+                return out
+
+            case FreeCell() | UseCell() | ExitPoint():
+                # Resource events: meaningful only to the linearity pack
+                # (:class:`repro.flowsens.linear.ResourceAnalysis`), which
+                # overrides them.  Generic qualifier packs flow straight
+                # through, so any pack can analyze lowered C programs.
+                return state
 
             case Havoc(target=x):
-                return {**env, x: fresh_qual_var(f"{x}_any")}
+                out = state.copy()
+                out.vals[x] = fresh_qual_var(f"{x}_any")
+                return out
 
             case AnnotStmt(target=x, level=level):
-                if x not in env:
-                    raise FlowError(f"annot of undefined variable {x!r}")
-                self.checks.append(("annot", x, stmt.label, env[x], level))
+                self._check("annot", stmt, state)
                 # (Annot): the type at this point becomes exactly l.
-                return {**env, x: level}
+                out = state.copy()
+                out.vals[x] = level
+                return out
 
-            case AssertStmt(target=x, level=level):
-                if x not in env:
-                    raise FlowError(f"assert of undefined variable {x!r}")
-                self.checks.append(("assert", x, stmt.label, env[x], level))
-                return env
+            case AssertStmt():
+                self._check("assert", stmt, state)
+                return state
 
             case Refine(target=x, qualifier=q, body=body):
-                if x not in env:
+                if x not in state.vals:
                     raise FlowError(f"refinement of undefined variable {x!r}")
                 # Branch entry strong-updates x to the join of all values
                 # satisfying the test — sound, and exact on the tested
-                # coordinate.
-                refined = self.lattice.assertion_bound(q)
-                inner = {**env, x: refined}
-                exit_env = self._block(body, inner)
-                # Merge the not-taken path (env) with the body exit.
-                return self._merge(env, exit_env, f"refine-{x}-merge")
+                # coordinate.  The not-taken path merges with the body exit.
+                inner = state.copy()
+                inner.vals[x] = self.lattice.assertion_bound(q)
+                exit_state = self._block(body, inner)
+                return self._merge(state, exit_state, f"refine-{x}-merge")
 
             case If(cond=cond, then=then, else_=else_):
-                if cond not in env:
+                if cond not in state.vals and cond not in state.ptrs:
                     raise FlowError(f"branch on undefined variable {cond!r}")
-                then_env = self._block(then, dict(env))
-                else_env = self._block(else_, dict(env))
-                return self._merge(then_env, else_env, "if-merge")
+                then_state = self._block(then, state.copy())
+                else_state = self._block(else_, state.copy())
+                return self._merge(then_state, else_state, "if-merge")
 
             case While(cond=cond, body=body):
-                if cond not in env:
+                if cond not in state.vals and cond not in state.ptrs:
                     raise FlowError(f"loop on undefined variable {cond!r}")
                 # Loop head: fresh variables receiving entry + back edge.
-                head: dict[str, Qual] = {}
-                for name, qual in env.items():
+                head = state.copy()
+                for name, qual in state.vals.items():
                     hv = fresh_qual_var(f"{name}_loop")
-                    self._emit(qual, hv, "loop-entry")
-                    head[name] = hv
-                exit_env = self._block(body, dict(head))
-                for name, hv in head.items():
-                    if name in exit_env and exit_env[name] != hv:
-                        self._emit(exit_env[name], hv, "loop-back-edge")
+                    self._emit(qual, hv, "loop-entry", stmt)
+                    head.vals[name] = hv
+                # Points-to fixpoint: trial passes grow the head's sets
+                # until the body adds no site (bounded by the number of
+                # sites).  With no pointer in scope nothing can grow, so
+                # there is no trial.  Trials record nothing; only the
+                # exit pass observes checks and events.
+                was = self._recording
+                self._recording = False
+                try:
+                    while head.ptrs:
+                        trial = self._block(body, head.copy())
+                        grown = False
+                        for name, sites in trial.ptrs.items():
+                            if name in head.ptrs and not sites <= head.ptrs[name]:
+                                head.ptrs[name] |= sites
+                                grown = True
+                        if not grown:
+                            break
+                finally:
+                    self._recording = was
+                exit_state = self._block(body, head.copy())
+                for name, hv in head.vals.items():
+                    if name in exit_state.vals and exit_state.vals[name] != hv:
+                        self._emit(exit_state.vals[name], hv, "loop-back-edge", stmt)
                 # Variables first defined inside the loop body do not
                 # escape (their scope is the body).
                 return head
 
-            case _:  # pragma: no cover - exhaustive
+            case _:
                 raise FlowError(f"unknown statement {stmt!r}")
 
-    def _block(self, stmts: Block, env: dict[str, Qual]) -> dict[str, Qual]:
+    def _block(self, stmts: Block, state: _State) -> _State:
         for stmt in stmts:
-            env = self._stmt(stmt, env)
-        return env
+            state = self._stmt(stmt, state)
+        return state
 
-    # -- entry point ----------------------------------------------------
+    # -- entry point ------------------------------------------------------
     def analyze(
         self,
         program: Block,
         initial: dict[str, LatticeElement] | None = None,
     ) -> FlowResult:
-        env: dict[str, Qual] = dict(initial or {})
-        final_env = self._block(program, env)
+        vals: dict[str, Qual] = dict(initial or {})
+        final = self._block(program, _State(vals, {}))
 
-        mentioned = [q for _k, _x, _l, q, _r in self.checks if isinstance(q, QualVar)]
+        mentioned = [
+            q for _k, _x, _l, q, _r in self.checks if isinstance(q, QualVar)
+        ]
+        mentioned.extend(self.cell_vars.values())
         solution = solve(self.constraints, self.lattice, extra_vars=mentioned)
 
         failures = []
@@ -240,7 +374,7 @@ class FlowAnalysis:
                 failures.append(
                     CheckFailure(kind, variable, required, actual, label)
                 )
-        return FlowResult(self.lattice, solution, failures, final_env, points)
+        return FlowResult(self.lattice, solution, failures, final.vals, points)
 
 
 def analyze_flow(

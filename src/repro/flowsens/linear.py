@@ -26,15 +26,14 @@ diagnostics.  This module must not import the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..qual.constraints import QualConstraint
 from ..qual.lattice import LatticeElement, QualifierLattice
 from ..qual.qtypes import Qual, QualVar, fresh_qual_var
 from ..qual.qualifiers import resource_lattice
 from ..qual.solver import Solution, shortest_flow_path, solve
-from .analysis import FlowError
-from .heap import HeapFlowAnalysis, _State
+from .analysis import FlowAnalysis, FlowError, _State
 from .language import (
     CallVia,
     CopyPtr,
@@ -116,8 +115,8 @@ class ResourceReport:
 _Obligation = tuple[str, str, Qual, FlowStmt]
 
 
-class ResourceAnalysis(HeapFlowAnalysis):
-    """The heap analysis plus resource-event semantics.
+class ResourceAnalysis(FlowAnalysis):
+    """The flow analysis plus resource-event semantics.
 
     ``NewCell`` at a recorded allocation site seeds ``alloc``;
     ``FreeCell`` records a double-free obligation, then strongly
@@ -135,8 +134,6 @@ class ResourceAnalysis(HeapFlowAnalysis):
         self._alloc_el = self.lattice.element("alloc")
         self._freed_strong = self.lattice.element("freed", "released")
         self._freed_weak = self.lattice.element("freed")
-        #: off during loop fixpoint trials so each event records once
-        self._recording = True
         self.obligations: list[_Obligation] = []
         #: every qualifier variable each source variable ever held
         self.history: dict[str, list[Qual]] = {}
@@ -269,41 +266,6 @@ class ResourceAnalysis(HeapFlowAnalysis):
                         if y != x and v is shared:
                             out.vals[y] = fresh_qual_var(f"{y}_any")
                 return out
-
-            case While(cond=cond, body=body):
-                if cond not in state.vals and cond not in state.ptrs:
-                    raise FlowError(
-                        f"loop on undefined variable {cond!r}"
-                    )
-                head = state.copy()
-                for name, qual in state.vals.items():
-                    hv = fresh_qual_var(f"{name}_loop")
-                    self._emit(qual, hv, "loop-entry", stmt)
-                    head.vals[name] = hv
-                # Points-to fixpoint trials must not double-record
-                # obligations; only the final pass observes events.
-                was = self._recording
-                self._recording = False
-                try:
-                    while True:
-                        trial = self._block(body, head.copy())
-                        grown = False
-                        for name, sites in trial.ptrs.items():
-                            old = head.ptrs.get(name, frozenset())
-                            if name in head.ptrs and not sites <= old:
-                                head.ptrs[name] = old | sites
-                                grown = True
-                        if not grown:
-                            break
-                finally:
-                    self._recording = was
-                exit_state = self._block(body, head.copy())
-                for name, hv in head.vals.items():
-                    if name in exit_state.vals and exit_state.vals[name] != hv:
-                        self._emit(
-                            exit_state.vals[name], hv, "loop-back-edge", stmt
-                        )
-                return head
 
             case _:
                 return super()._stmt(stmt, state)

@@ -1,6 +1,6 @@
 """Lowering cfront function bodies into the flowsens language.
 
-The flow-sensitive engine (:mod:`repro.flowsens.heap`) analyzes a small
+The flow-sensitive engine (:mod:`repro.flowsens.analysis`) analyzes a small
 imperative language of strongly-updated scalars and weakly-updated heap
 cells.  This module translates each :class:`repro.cfront.cast.FuncDef`
 body into that language so the Section 6 prototype runs over *real* C:
@@ -77,6 +77,7 @@ from ..cfront.cast import (
     WhileStmt,
 )
 from ..cfront.ctypes import CArray, CPointer, CType
+from ..cfront.sema import subexpressions
 from ..qual.lattice import LatticeElement, LatticeError, QualifierLattice
 from .language import (
     Assign,
@@ -284,46 +285,7 @@ def _is_null(e: CExpr) -> bool:
 
 def _idents_in(e: CExpr) -> list[str]:
     """Every identifier mentioned anywhere inside ``e`` (for escapes)."""
-    out: list[str] = []
-
-    def walk(x: CExpr) -> None:
-        match x:
-            case Ident(name=name):
-                out.append(name)
-            case Unary(operand=operand):
-                walk(operand)
-            case Binary(left=left, right=right):
-                walk(left)
-                walk(right)
-            case Assignment(target=target, value=value):
-                walk(target)
-                walk(value)
-            case Conditional(cond=cond, then=then, other=other):
-                walk(cond)
-                walk(then)
-                walk(other)
-            case Call(func=func, args=args):
-                walk(func)
-                for a in args:
-                    walk(a)
-            case Member(base=base):
-                walk(base)
-            case Index(base=base, index=index):
-                walk(base)
-                walk(index)
-            case Cast(operand=operand):
-                walk(operand)
-            case Comma(left=left, right=right):
-                walk(left)
-                walk(right)
-            case InitList(items=items):
-                for item in items:
-                    walk(item)
-            case _:
-                pass
-
-    walk(e)
-    return out
+    return [x.name for x in subexpressions(e) if isinstance(x, Ident)]
 
 
 class _Lowerer:

@@ -40,37 +40,27 @@ compose bottom-up through helper chains with no extra machinery here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..cfront.cast import (
     Assignment,
     Binary,
     Call,
-    CaseStmt,
     Cast,
     CExpr,
     Comma,
-    Compound,
     Conditional,
-    CStmt,
     DeclStmt,
-    DoWhileStmt,
-    ExprStmt,
-    ForStmt,
     FuncDef,
     Ident,
-    IfStmt,
     Index,
     InitList,
-    LabeledStmt,
     Member,
     ReturnStmt,
-    SwitchStmt,
     Unary,
-    VarDecl,
-    WhileStmt,
 )
 from ..cfront.ctypes import CPointer
+from ..cfront.sema import statement_expressions, statements
 from ..qual.lattice import QualifierLattice
 from ..qual.qualifiers import resource_lattice
 from .language import (
@@ -315,7 +305,7 @@ def _param_verdicts(
     fdef: FuncDef, fn: LoweredFunction
 ) -> tuple[str, ...]:
     local_names = {p.name for p in fdef.params if p.name is not None}
-    for stmt in _stmts_in(fdef.body):
+    for stmt in statements(fdef.body):
         if isinstance(stmt, DeclStmt):
             local_names.update(decl.name for decl in stmt.decls)
     facts = _WalkFacts(local_names=frozenset(local_names))
@@ -350,62 +340,6 @@ def _param_verdicts(
 # ---------------------------------------------------------------------------
 # Owned returns: a conservative scan over the C AST.
 # ---------------------------------------------------------------------------
-
-
-def _stmts_in(stmt: Optional[CStmt]) -> Iterator[CStmt]:
-    if stmt is None:
-        return
-    yield stmt
-    match stmt:
-        case Compound(body=body):
-            for s in body:
-                yield from _stmts_in(s)
-        case IfStmt(then=then, other=other):
-            yield from _stmts_in(then)
-            yield from _stmts_in(other)
-        case WhileStmt(body=body) | DoWhileStmt(body=body) | SwitchStmt(
-            body=body
-        ):
-            yield from _stmts_in(body)
-        case ForStmt(init=init, body=body):
-            if isinstance(init, DeclStmt):
-                yield from _stmts_in(init)
-            yield from _stmts_in(body)
-        case LabeledStmt(stmt=inner) | CaseStmt(stmt=inner):
-            yield from _stmts_in(inner)
-        case _:
-            pass
-
-
-def _exprs_in_stmt(stmt: CStmt) -> Iterator[CExpr]:
-    """Top-level expressions of one statement (not recursing into
-    sub-statements, which :func:`_stmts_in` already enumerates)."""
-    match stmt:
-        case ExprStmt(expr=expr):
-            yield expr
-        case DeclStmt(decls=decls):
-            for decl in decls:
-                if decl.init is not None:
-                    yield decl.init
-        case IfStmt(cond=cond) | WhileStmt(cond=cond) | DoWhileStmt(
-            cond=cond
-        ) | SwitchStmt(value=cond):
-            yield cond
-        case ForStmt(init=init, cond=cond, step=step):
-            if init is not None and not isinstance(init, DeclStmt):
-                yield init
-            if cond is not None:
-                yield cond
-            if step is not None:
-                yield step
-        case ReturnStmt(value=value):
-            if value is not None:
-                yield value
-        case CaseStmt(value=value):
-            if value is not None:
-                yield value
-        case _:
-            pass
 
 
 def _owned_call_kind(
@@ -549,7 +483,7 @@ def _scan_local(
     """Kind of the owned value ``name`` always holds, or None."""
     scan = _LocalScan(name, policy)
     declared = False
-    for stmt in _stmts_in(fdef.body):
+    for stmt in statements(fdef.body):
         if isinstance(stmt, DeclStmt):
             for decl in stmt.decls:
                 if decl.name == name:
@@ -565,7 +499,7 @@ def _scan_local(
                 if _mentions(stmt.value, name):
                     return None
             continue
-        for expr in _exprs_in_stmt(stmt):
+        for expr in statement_expressions(stmt):
             scan.check(expr)
             if not scan.ok:
                 return None
@@ -584,7 +518,7 @@ def _infer_returns_owned(
     param_names = {p.name for p in fdef.params if p.name is not None}
     returns = [
         s
-        for s in _stmts_in(fdef.body)
+        for s in statements(fdef.body)
         if isinstance(s, ReturnStmt) and s.value is not None
     ]
     if not returns:

@@ -34,7 +34,7 @@ from ..cfront.cparser import parse_c, parse_c_resilient
 from ..cfront.cpp import is_directive_free
 from ..checker.checks import DEFAULT_CHECKS, check_by_name
 from ..checker.render import render_report
-from ..checker.runner import analyze as run_analysis, discover_files, parse_units
+from ..checker.runner import analyze as run_analysis, parse_units
 from ..constinfer.cache import AnalysisCache
 from ..constinfer.fdg import FunctionDependenceGraph
 from ..whole.engine import affected_units, tu_dependence_graph
@@ -291,14 +291,15 @@ class Session:
 
         parse_before = self._parse_seconds
         start = time.perf_counter()
-        files = [str(p) for p in discover_files(paths)]
+        # The paths go to the one source loader as given, so files come
+        # from the overlay-aware discovery that analyze uses too.
         if whole:
             # Same shared path the CLI takes, with the session's overlay,
             # cache, and resilient parse memo threaded in.  The ownership
             # cache is keyed by dependency-closure source digests, so a
             # didChange on one unit re-links exactly its dependents.
-            suggestions, errors = suggest_paths_whole(
-                files,
+            files, suggestions, errors = suggest_paths_whole(
+                paths,
                 include_paths=tuple(include_paths),
                 top=top,
                 sources=self.overlay,
@@ -306,8 +307,8 @@ class Session:
                 parse_unit=self.parse_unit_resilient,
             )
         else:
-            suggestions, errors = suggest_paths(
-                files,
+            files, suggestions, errors = suggest_paths(
+                paths,
                 include_paths=tuple(include_paths),
                 top=top,
                 sources=self.overlay,

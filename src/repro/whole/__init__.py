@@ -28,7 +28,6 @@ from .callgraph import WholeProgramCallGraph
 from .engine import (
     WholeProgramRun,
     affected_units,
-    closure_digests,
     run_whole_poly,
     tu_dependence_graph,
 )
@@ -45,7 +44,6 @@ from .summary import (
     TUSummary,
     dependency_closure,
     shared_layout_digest,
-    unit_closure_digest,
 )
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "WholeProgramCallGraph",
     "WholeProgramRun",
     "affected_units",
-    "closure_digests",
     "dependency_closure",
     "infer_ownership_summaries",
     "link_paths",
@@ -66,5 +63,4 @@ __all__ = [
     "run_whole_poly",
     "shared_layout_digest",
     "tu_dependence_graph",
-    "unit_closure_digest",
 ]

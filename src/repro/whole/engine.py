@@ -45,7 +45,6 @@ from .summary import (
     shared_layout_digest,
     store_summary,
     summary_source_key,
-    unit_closure_digest,
 )
 
 #: Base uid of the whole-program band space.  Far above anything the
@@ -114,26 +113,6 @@ def tu_dependence_graph(linked: LinkedProgram) -> FunctionDependenceGraph:
     machinery (the private callers thread intermediate products)."""
     callgraph = WholeProgramCallGraph.build(linked.program)
     return _tu_graph(linked, callgraph.function_graph())
-
-
-def closure_digests(
-    linked: LinkedProgram,
-    tu_graph: FunctionDependenceGraph | None = None,
-) -> dict[str, str]:
-    """Per-unit invalidation digests: ``unit -> unit_closure_digest``.
-
-    A pure function of the linked program.  A resident session snapshots
-    this map, and after an edit compares it against the fresh one —
-    units whose digest moved are exactly the ones whose group summaries
-    a re-link will re-analyse; everything else is served warm.
-    """
-    if tu_graph is None:
-        tu_graph = tu_dependence_graph(linked)
-    layout = shared_layout_digest(linked.program)
-    return {
-        unit: unit_closure_digest(unit, tu_graph, linked.sources, layout)
-        for unit in linked.unit_names
-    }
 
 
 def affected_units(

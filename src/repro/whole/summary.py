@@ -92,7 +92,7 @@ def dependency_closure(
     tu_graph: FunctionDependenceGraph,
 ) -> tuple[str, ...]:
     """All units ``group``'s analysis depends on, itself included,
-    sorted — the source set of its cache key and closure digest."""
+    sorted — the source set of its cache key."""
     out: set[str] = set()
     work = list(group)
     while work:
@@ -102,31 +102,6 @@ def dependency_closure(
         out.add(unit)
         work.extend(tu_graph.edges.get(unit, ()))
     return tuple(sorted(out))
-
-
-def unit_closure_digest(
-    unit: str,
-    tu_graph: FunctionDependenceGraph,
-    sources: dict[str, str],
-    layout_digest: str,
-) -> str:
-    """Digest of everything that can invalidate ``unit``'s analysis: the
-    texts of its dependency closure (the unit itself plus every unit
-    whose schemes shape its constraints) and the shared symbol layout.
-
-    This is the incremental-invalidation primitive the resident daemon
-    keys on: after an edit, a unit whose closure digest is unchanged is
-    guaranteed (by the same reasoning as the summary cache key) to
-    re-link to an identical summary, so only units whose digest moved
-    need re-analysis.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"unit:{unit}\nlayout:{layout_digest}\n".encode())
-    for member in dependency_closure((unit,), tu_graph):
-        digest.update(f"dep:{member}\n".encode())
-        digest.update(sources.get(member, "").encode())
-        digest.update(b"\x00")
-    return digest.hexdigest()
 
 
 def summary_source_key(

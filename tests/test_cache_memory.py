@@ -159,3 +159,40 @@ def test_stats_merge_and_summary_include_memory_hits():
     a.merge(b)
     assert a.memory_hits == 3
     assert "3 memory hit(s)" in a.summary()
+
+
+# -- rewrites ----------------------------------------------------------
+
+
+def test_put_drops_the_key_from_the_tier(tmp_path):
+    cache = make_cache(tmp_path)
+    key = key_for(cache, "src")
+    cache.put(key, "old")
+    assert cache.get(key) == "old"
+    cache.get_bytes(key)
+    cache.put_bytes(key, pickle.dumps("new"))
+    assert cache.get(key) == "new"
+    assert cache.get_bytes(key) == pickle.dumps("new")
+    assert cache.stats.memory_hits == 0
+
+
+def test_rewritten_checker_entry_is_a_hit_on_one_handle(tmp_path):
+    # A wrong-shape checker entry is recomputed and rewritten once; the
+    # next run over the same long-lived handle (the daemon's case) must
+    # read the rewritten entry, not the stale decoded one in memory.
+    from repro.checker.runner import check_paths
+
+    unit = tmp_path / "u.c"
+    unit.write_text("int f(int *p) { return *p; }\n")
+    cache = make_cache(tmp_path)
+    check_paths([unit], cache=cache)
+    for entry in cache.root.rglob("*.pkl"):
+        entry.write_bytes(pickle.dumps("wrong shape"))
+
+    rewrite = check_paths([unit], cache=cache)
+    assert (rewrite.cache_hits, rewrite.cache_misses) == (0, 1)
+    stores = cache.stats.stores
+    again = check_paths([unit], cache=cache)
+    assert (again.cache_hits, again.cache_misses) == (1, 0)
+    assert cache.stats.stores == stores
+    assert again.diagnostics == rewrite.diagnostics

@@ -1,25 +1,30 @@
 """Tests for the heap-cell layer of the flow-sensitive prototype:
-weak updates on aliased cells vs strong updates on locals."""
+weak updates on aliased cells vs strong updates on locals, all through
+the one walker (:func:`repro.flowsens.analysis.analyze_flow`)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.flowsens.heap import analyze_heap_flow
+from repro.flowsens.analysis import analyze_flow
 from repro.flowsens.language import (
     AnnotStmt,
     Assign,
     AssertStmt,
     CopyPtr,
+    Havoc,
     If,
     Literal,
     LoadCell,
     NewCell,
+    Refine,
     StoreCell,
     VarRef,
     While,
     block,
 )
 from repro.flowsens.analysis import FlowError
-from repro.qual.qualifiers import taint_lattice
+from repro.qual.qualifiers import nonnull_lattice, taint_lattice
 
 
 @pytest.fixture
@@ -39,7 +44,7 @@ class TestWeakCellUpdates:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        result = analyze_heap_flow(program, taint)
+        result = analyze_flow(program, taint)
         assert not result.ok  # the tainted store reaches the load
 
     def test_weak_update_does_not_forget(self, taint):
@@ -52,7 +57,7 @@ class TestWeakCellUpdates:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        result = analyze_heap_flow(program, taint)
+        result = analyze_flow(program, taint)
         assert not result.ok
 
     def test_local_contrast_is_strong(self, taint):
@@ -62,7 +67,7 @@ class TestWeakCellUpdates:
             Assign("x", lit(taint)),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
 
     def test_clean_cell_passes(self, taint):
         program = block(
@@ -71,7 +76,7 @@ class TestWeakCellUpdates:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
 
 
 class TestAliasing:
@@ -83,7 +88,7 @@ class TestAliasing:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert not analyze_heap_flow(program, taint).ok
+        assert not analyze_flow(program, taint).ok
 
     def test_distinct_sites_independent(self, taint):
         program = block(
@@ -94,7 +99,7 @@ class TestAliasing:
             LoadCell("x", "q"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
 
     def test_merge_unions_points_to(self, taint):
         program = block(
@@ -107,7 +112,7 @@ class TestAliasing:
             LoadCell("x", "a"),
             AssertStmt("x", taint.element(), label="sink-a"),
         )
-        result = analyze_heap_flow(program, taint)
+        result = analyze_flow(program, taint)
         assert not result.ok  # site_a may have been written
 
     def test_pointer_reassignment_is_strong(self, taint):
@@ -119,7 +124,7 @@ class TestAliasing:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
 
 
 class TestLoops:
@@ -141,7 +146,7 @@ class TestLoops:
             LoadCell("x", "b"),
             AssertStmt("x", taint.element(), label="sink-b"),
         )
-        result = analyze_heap_flow(program, taint)
+        result = analyze_flow(program, taint)
         assert not result.ok  # second iteration stores through b
 
     def test_loop_clean_stores_ok(self, taint):
@@ -152,7 +157,7 @@ class TestLoops:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
 
 
 class TestErrors:
@@ -162,16 +167,16 @@ class TestErrors:
             StoreCell("x", lit(taint)),
         )
         with pytest.raises(FlowError):
-            analyze_heap_flow(program, taint)
+            analyze_flow(program, taint)
 
     def test_load_through_undefined(self, taint):
         with pytest.raises(FlowError):
-            analyze_heap_flow(block(LoadCell("x", "ghost")), taint)
+            analyze_flow(block(LoadCell("x", "ghost")), taint)
 
     def test_copy_of_non_pointer(self, taint):
         program = block(Assign("x", lit(taint)), CopyPtr("q", "x"))
         with pytest.raises(FlowError):
-            analyze_heap_flow(program, taint)
+            analyze_flow(program, taint)
 
     def test_scalar_layer_still_works(self, taint):
         program = block(
@@ -179,7 +184,7 @@ class TestErrors:
             AnnotStmt("x", taint.element("tainted")),
             AssertStmt("x", taint.element("tainted"), label="ok"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
 
 
 class TestWeakUpdateCorners:
@@ -198,7 +203,7 @@ class TestWeakUpdateCorners:
             LoadCell("x", "b"),
             AssertStmt("x", taint.element(), label="sink-b"),
         )
-        assert not analyze_heap_flow(program, taint).ok
+        assert not analyze_flow(program, taint).ok
 
     def test_branch_merge_keeps_unaliased_cell_clean(self, taint):
         # a third cell never aliased by p must not be hit by the store.
@@ -212,7 +217,7 @@ class TestWeakUpdateCorners:
             LoadCell("x", "c"),
             AssertStmt("x", taint.element(), label="sink-c"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
 
     def test_loop_head_join_carries_body_alias(self, taint):
         # the alias q -> p's cell is created inside the body; the join
@@ -231,7 +236,7 @@ class TestWeakUpdateCorners:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert not analyze_heap_flow(program, taint).ok
+        assert not analyze_flow(program, taint).ok
 
     def test_loop_head_join_unions_entry_and_back_edge(self, taint):
         # at the head p may point to site_a (entry) or site_b (back
@@ -251,7 +256,7 @@ class TestWeakUpdateCorners:
             LoadCell("x", "a"),
             AssertStmt("x", taint.element(), label="sink-a"),
         )
-        assert not analyze_heap_flow(program, taint).ok
+        assert not analyze_flow(program, taint).ok
 
     def test_copyptr_chain_three_deep(self, taint):
         program = block(
@@ -262,7 +267,7 @@ class TestWeakUpdateCorners:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert not analyze_heap_flow(program, taint).ok
+        assert not analyze_flow(program, taint).ok
 
     def test_copyptr_chain_broken_by_strong_repoint(self, taint):
         # repointing q at a fresh cell breaks the chain: the store
@@ -275,4 +280,105 @@ class TestWeakUpdateCorners:
             LoadCell("x", "p"),
             AssertStmt("x", taint.element(), label="sink"),
         )
-        assert analyze_heap_flow(program, taint).ok
+        assert analyze_flow(program, taint).ok
+
+
+class TestOneWalker:
+    """Checks are recorded by the loop's exit pass only: points-to
+    trials observe nothing, whatever the body does to the pointers."""
+
+    def test_loop_assert_reported_once_without_pointers(self, taint):
+        program = block(
+            Assign("n", lit(taint, "tainted")),
+            While("n", body=(AssertStmt("n", taint.element(), label="in-loop"),)),
+        )
+        result = analyze_flow(program, taint)
+        assert [p[1] for p in result.check_points] == ["in-loop"]
+        assert len(result.failures) == 1
+
+    def test_loop_assert_reported_once_when_points_to_grows(self, taint):
+        # the CopyPtr grows p's set at the head, which takes two trial
+        # passes before the exit pass; none of them may record the check.
+        program = block(
+            Assign("n", lit(taint, "tainted")),
+            NewCell("p", "site_a"),
+            NewCell("q", "site_b"),
+            While(
+                "n",
+                body=(
+                    AssertStmt("n", taint.element(), label="in-loop"),
+                    CopyPtr("p", "q"),
+                ),
+            ),
+        )
+        result = analyze_flow(program, taint)
+        assert [p[1] for p in result.check_points] == ["in-loop"]
+        assert len(result.failures) == 1
+
+    def test_foreign_literal_rejected_with_cells(self, taint):
+        program = block(
+            NewCell("p", "buf"),
+            StoreCell("p", Literal(nonnull_lattice().element())),
+        )
+        with pytest.raises(FlowError, match="not from lattice"):
+            analyze_flow(program, taint)
+
+
+_SCALARS = ("x", "y", "z")
+_POINTERS = ("p", "q")
+_LATTICE = taint_lattice()
+_LEVELS = st.sampled_from([_LATTICE.element(), _LATTICE.element("tainted")])
+_VALUES = st.one_of(
+    st.sampled_from(_SCALARS).map(VarRef), _LEVELS.map(Literal)
+)
+
+
+def _statements(children):
+    """Scalar and pointer variables stay disjoint, so every generated
+    program is well formed: pointers are only (re)pointed, scalars
+    only assigned."""
+    scalar, pointer = st.sampled_from(_SCALARS), st.sampled_from(_POINTERS)
+    sites = st.sampled_from(("s1", "s2", "s3"))
+    return st.one_of(
+        st.builds(Assign, scalar, _VALUES),
+        st.builds(Havoc, scalar),
+        st.builds(AssertStmt, scalar, _LEVELS),
+        st.builds(AnnotStmt, scalar, _LEVELS),
+        st.builds(NewCell, pointer, sites),
+        st.builds(CopyPtr, pointer, pointer),
+        st.builds(StoreCell, pointer, _VALUES),
+        st.builds(LoadCell, scalar, pointer),
+        st.builds(If, scalar, children, children),
+        st.builds(While, scalar, children),
+        st.builds(Refine, scalar, st.just("tainted"), children),
+    )
+
+
+_PROGRAMS = st.recursive(
+    st.lists(_statements(st.just(())), max_size=4).map(tuple),
+    lambda children: st.lists(_statements(children), max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+def _check_occurrences(stmts) -> int:
+    total = 0
+    for stmt in stmts:
+        if isinstance(stmt, (AssertStmt, AnnotStmt)):
+            total += 1
+        elif isinstance(stmt, If):
+            total += _check_occurrences(stmt.then) + _check_occurrences(stmt.else_)
+        elif isinstance(stmt, (While, Refine)):
+            total += _check_occurrences(stmt.body)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PROGRAMS)
+def test_each_check_is_recorded_once(body):
+    prologue = tuple(Assign(x, Literal(_LATTICE.element())) for x in _SCALARS) + (
+        NewCell("p", "s1"),
+        NewCell("q", "s2"),
+    )
+    result = analyze_flow(prologue + body, _LATTICE)
+    assert len(result.check_points) == _check_occurrences(body)

@@ -123,7 +123,7 @@ class TestPaths:
     def test_missing_file_lands_in_errors(self, tmp_path):
         good = tmp_path / "good.c"
         good.write_text(SOURCE)
-        suggestions, errors = suggest_paths(
+        _, suggestions, errors = suggest_paths(
             [str(good), str(tmp_path / "missing.c")]
         )
         assert suggestions
@@ -177,7 +177,7 @@ class TestDaemonParity:
                     }
                 )
                 response = json.loads(server.handle_line(line))
-                suggestions, errors = suggest_paths([str(path)])
+                _, suggestions, errors = suggest_paths([str(path)])
                 assert errors == {}
                 assert response["result"]["report"] == renderer(suggestions)
                 assert response["result"]["exit_code"] == 0

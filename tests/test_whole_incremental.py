@@ -1,19 +1,22 @@
 """The incremental re-link API in :mod:`repro.whole`: TU dependence
-graphs, per-unit closure digests, and ``affected_units`` — the
-invalidation primitives the resident daemon keys on.
+graphs, ``affected_units``, and the per-group summary cache that
+``run_whole_poly`` keys on them.
 
-The load-bearing property, checked directly: after an edit, the set of
-units whose closure digest moved equals ``affected_units`` of the edit —
-so serving every other unit's summary warm is sound."""
+The load-bearing property, checked directly: after an edit, a re-link
+over a shared cache misses exactly the groups of ``affected_units`` of
+the edit (their summary-key digests moved) and hits every other group —
+so serving those summaries warm is sound."""
 
+from repro.constinfer.cache import AnalysisCache
 from repro.whole import (
+    TUSummary,
     affected_units,
-    closure_digests,
     dependency_closure,
     link_sources,
+    run_whole_poly,
     tu_dependence_graph,
-    unit_closure_digest,
 )
+from repro.whole.summary import summary_source_key
 
 # A three-unit chain: top.c calls mid.c's helper, which calls leaf.c's.
 LEAF = (
@@ -62,15 +65,38 @@ def test_affected_units_is_upward():
     assert affected_units(graph, {"not-linked.c"}) == ()
 
 
-def test_closure_digests_cover_every_unit():
-    linked = linked_chain()
-    digests = closure_digests(linked)
-    assert set(digests) == {"leaf.c", "mid.c", "top.c"}
-    assert len(set(digests.values())) == 3  # distinct closures, distinct digests
+class RecordingCache(AnalysisCache):
+    """A cache that records the group of every summary it stores: each
+    summary miss re-analyses its group and stores it once."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.stored = []
+
+    def put(self, key, value):
+        if isinstance(value, TUSummary):
+            self.stored.append(value.group)
+        super().put(key, value)
 
 
-def test_body_edit_moves_exactly_the_affected_digests():
-    before = closure_digests(linked_chain())
+def relink(cache, sources=None):
+    """Re-link over ``cache``; returns the run and the re-analysed units."""
+    cache.stored.clear()
+    run = run_whole_poly(linked_chain(sources), cache=cache)
+    assert run.summary_misses == len(cache.stored)
+    assert run.summary_hits == len(run.schedule) - run.summary_misses
+    return run, {unit for group in cache.stored for unit in group}
+
+
+def test_cold_relink_misses_every_group(tmp_path):
+    run, missed = relink(RecordingCache(tmp_path))
+    assert missed == {"leaf.c", "mid.c", "top.c"}
+    assert (run.summary_hits, run.summary_misses) == (0, 3)  # one group per unit
+
+
+def test_body_edit_moves_exactly_the_affected_digests(tmp_path):
+    cache = RecordingCache(tmp_path)
+    relink(cache)
 
     # Edit mid.c's function *body* (no signature/global changes).
     edited = chain_sources()
@@ -78,63 +104,62 @@ def test_body_edit_moves_exactly_the_affected_digests():
         "extern char *leaf_get(void);\n"
         "char *mid_get(void) { char *tmp = leaf_get(); return tmp; }\n"
     )
-    linked = linked_chain(edited)
-    after = closure_digests(linked)
+    run, missed = relink(cache, edited)
 
-    moved = {unit for unit in before if before[unit] != after[unit]}
-    graph = tu_dependence_graph(linked)
-    assert moved == set(affected_units(graph, {"mid.c"}))
-    assert moved == {"mid.c", "top.c"}
-    assert before["leaf.c"] == after["leaf.c"]  # leaf summary stays warm
+    graph = tu_dependence_graph(linked_chain(edited))
+    assert missed == set(affected_units(graph, {"mid.c"}))
+    assert missed == {"mid.c", "top.c"}
+    assert run.summary_hits == 1  # leaf summary stays warm
 
 
-def test_leaf_edit_moves_every_digest():
-    before = closure_digests(linked_chain())
+def test_leaf_edit_moves_every_digest(tmp_path):
+    cache = RecordingCache(tmp_path)
+    relink(cache)
     edited = chain_sources()
     edited["leaf.c"] = LEAF + "\n"
-    after = closure_digests(linked_chain(edited))
-    assert all(before[unit] != after[unit] for unit in before)
+    run, missed = relink(cache, edited)
+    assert missed == {"leaf.c", "mid.c", "top.c"}
+    assert run.summary_hits == 0
 
 
-def test_layout_change_moves_all_digests():
-    """Adding a global shifts the shared uid layer, so every unit's
-    digest must move — even units textually untouched."""
-    before = closure_digests(linked_chain())
+def test_layout_change_moves_all_digests(tmp_path):
+    """Adding a global shifts the shared uid layer, so every group must
+    miss — even units textually untouched."""
+    cache = RecordingCache(tmp_path)
+    relink(cache)
     edited = chain_sources()
     edited["top.c"] = "int new_global;\n" + TOP
-    after = closure_digests(linked_chain(edited))
-    assert all(before[unit] != after[unit] for unit in before)
+    run, missed = relink(cache, edited)
+    assert missed == {"leaf.c", "mid.c", "top.c"}
+    assert run.summary_hits == 0
 
 
-def test_unit_closure_digest_is_deterministic():
-    linked = linked_chain()
-    graph = tu_dependence_graph(linked)
-    from repro.whole import shared_layout_digest
-
-    layout = shared_layout_digest(linked.program)
-    one = unit_closure_digest("mid.c", graph, linked.sources, layout)
-    two = unit_closure_digest("mid.c", graph, linked.sources, layout)
-    assert one == two
-    assert one != unit_closure_digest("leaf.c", graph, linked.sources, layout)
+def test_unchanged_relink_hits_every_group(tmp_path):
+    cache = RecordingCache(tmp_path)
+    relink(cache)
+    run, missed = relink(cache)
+    assert missed == set()
+    assert (run.summary_hits, run.summary_misses) == (3, 0)
 
 
 def test_digest_depends_on_layout_component():
-    linked = linked_chain()
-    graph = tu_dependence_graph(linked)
-    assert unit_closure_digest(
-        "leaf.c", graph, linked.sources, "layout-a"
-    ) != unit_closure_digest("leaf.c", graph, linked.sources, "layout-b")
+    sources = chain_sources()
+    group = ("leaf.c",)
+    assert summary_source_key(
+        group, group, sources, "layout-a", 0
+    ) != summary_source_key(group, group, sources, "layout-b", 0)
 
 
-def test_independent_units_do_not_invalidate_each_other():
+def test_independent_units_do_not_invalidate_each_other(tmp_path):
     sources = {
         "a.c": "int a(void) { return 1; }\n",
         "b.c": "int b(void) { return 2; }\n",
     }
     graph = tu_dependence_graph(link_sources(sources))
     assert affected_units(graph, {"a.c"}) == ("a.c",)
-    before = closure_digests(link_sources(sources))
+    cache = RecordingCache(tmp_path)
+    relink(cache, sources)
     sources["a.c"] = "int a(void) { return 3; }\n"
-    after = closure_digests(link_sources(sources))
-    assert before["b.c"] == after["b.c"]
-    assert before["a.c"] != after["a.c"]
+    run, missed = relink(cache, sources)
+    assert missed == {"a.c"}
+    assert run.summary_hits == 1
