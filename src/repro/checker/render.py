@@ -7,7 +7,7 @@ runner can emit any format from one analysis pass.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -26,13 +26,11 @@ SARIF_SCHEMA = (
 # ---------------------------------------------------------------------------
 
 
-def _source_excerpt(sources: Mapping[str, str], span: Span) -> list[str]:
+def _source_excerpt(lines: list[str] | None, span: Span) -> list[str]:
     """The flagged line plus a caret marker, gcc-style; empty when the
     span or the source text is unavailable."""
-    text = sources.get(span.file)
-    if text is None or not span.is_valid:
+    if lines is None or not span.is_valid:
         return []
-    lines = text.splitlines()
     if span.line > len(lines):
         return []
     line = lines[span.line - 1]
@@ -50,19 +48,28 @@ def render_human(
     """Compiler-style report: one primary line per finding, the flagged
     source line with a caret, then the numbered qualifier-flow trace."""
     sources = sources or {}
+    # each file split once per call, not once per excerpt
+    split: dict[str, list[str] | None] = {}
+
+    def lines_of(file: str) -> list[str] | None:
+        if file not in split:
+            text = sources.get(file)
+            split[file] = None if text is None else text.splitlines()
+        return split[file]
+
     blocks: list[str] = []
     for diag in diagnostics:
         if diag.suppressed and not show_suppressed:
             continue
         suffix = " (suppressed)" if diag.suppressed else ""
         lines = [f"{diag.span}: {diag.severity}: {diag.message} [{diag.check}]{suffix}"]
-        lines += _source_excerpt(sources, diag.span)
+        lines += _source_excerpt(lines_of(diag.span.file), diag.span)
         if diag.flow:
             lines.append("  qualifier flow:")
             for index, step in enumerate(diag.flow, start=1):
                 where = f" ({step.span})" if step.span.is_valid else ""
                 lines.append(f"    {index}. {step.note}{where}")
-                for excerpt in _source_excerpt(sources, step.span):
+                for excerpt in _source_excerpt(lines_of(step.span.file), step.span):
                     lines.append("  " + excerpt)
         blocks.append("\n".join(lines))
     if not blocks:
@@ -75,10 +82,70 @@ def render_human(
 # ---------------------------------------------------------------------------
 
 
-def render_json(
+def _dumps(value: object) -> str:
+    """The text ``json.dumps`` writes with ``indent=2``, plus a newline,
+    for the values the renderers build: dicts with ``str`` keys, lists,
+    ``str``, ``int``, ``bool`` and ``None``.  Anything else, floats
+    included, raises ``TypeError``.
+
+    ``indent`` puts ``json.dumps`` on its pure-Python encoder, one
+    generator per container.  This writer appends every piece to one
+    list and escapes strings with the same C ``ensure_ascii`` encoder."""
+    out: list[str] = []
+    _write(value, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: object, out: list[str], newline: str) -> None:
+    """Append ``value`` to ``out``; ``newline`` is the line break plus the
+    indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+
+
+def _json_payload(
     diagnostics: Iterable[Diagnostic],
     unit_status: Mapping[str, str] | None = None,
-) -> str:
+) -> dict:
     payload = {
         "tool": "qlint",
         "version": QLINT_VERSION,
@@ -89,7 +156,14 @@ def render_json(
         # key order stays deterministic, omitted entirely otherwise so
         # strict-mode output is byte-identical to the pre-ingestion tool.
         payload["units"] = {k: unit_status[k] for k in sorted(unit_status)}
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+def render_json(
+    diagnostics: Iterable[Diagnostic],
+    unit_status: Mapping[str, str] | None = None,
+) -> str:
+    return _dumps(_json_payload(diagnostics, unit_status))
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +173,13 @@ def render_json(
 _SARIF_LEVELS = {"error": "error", "warning": "warning", "note": "note"}
 
 
-def _relative_uri(file: str, src_root: str | None) -> tuple[str, bool]:
-    """(uri, is_relative): the file as a URI under ``src_root`` when it
-    lies inside it, else the file unchanged.  SARIF URIs always use
-    forward slashes."""
-    if src_root is not None:
+def _relative_uri(file: str, root: Path | None) -> tuple[str, bool]:
+    """(uri, is_relative): the file as a URI under the resolved source
+    root when it lies inside it, else the file unchanged.  SARIF URIs
+    always use forward slashes."""
+    if root is not None:
         try:
-            relative = Path(file).resolve().relative_to(Path(src_root).resolve())
+            relative = Path(file).resolve().relative_to(root)
         except (ValueError, OSError):
             pass
         else:
@@ -114,12 +188,12 @@ def _relative_uri(file: str, src_root: str | None) -> tuple[str, bool]:
 
 
 def _sarif_location(
-    span: Span, note: str | None = None, src_root: str | None = None
+    span: Span, where: tuple[str, bool], note: str | None = None
 ) -> dict:
     region: dict = {"startLine": span.line}
     if span.column > 0:
         region["startColumn"] = span.column
-    uri, is_relative = _relative_uri(span.file, src_root)
+    uri, is_relative = where
     artifact: dict = {"uri": uri}
     if is_relative:
         artifact["uriBaseId"] = "SRCROOT"
@@ -155,23 +229,24 @@ def _sarif_rules(diagnostics: list[Diagnostic]) -> list[dict]:
     return rules
 
 
-def render_sarif(
+def _sarif_log(
     diagnostics: Iterable[Diagnostic],
     src_root: str | None = None,
     unit_status: Mapping[str, str] | None = None,
-) -> str:
-    """A SARIF 2.1.0 log: one run, one result per diagnostic, the
-    qualifier-flow trace as a codeFlow/threadFlow, fingerprints under
-    ``partialFingerprints``, suppressions as kind ``inSource``.
-
-    With ``src_root``, artifact URIs for files under it are emitted
-    repo-relative against a ``SRCROOT`` uriBase (declared in the run's
-    ``originalUriBaseIds``), so logs are machine-portable: the same
-    checkout analysed at two absolute paths produces byte-identical
-    SARIF."""
+) -> dict:
     diagnostics = list(diagnostics)
     rules = _sarif_rules(diagnostics)
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
+    root = None if src_root is None else Path(src_root).resolve()
+    # Each file's URI is resolved once per log.  Not across logs: the
+    # daemon renders for trees that move or relink between requests.
+    uris: dict[str, tuple[str, bool]] = {}
+
+    def uri_of(file: str) -> tuple[str, bool]:
+        where = uris.get(file)
+        if where is None:
+            where = uris[file] = _relative_uri(file, root)
+        return where
 
     results = []
     for diag in diagnostics:
@@ -182,11 +257,13 @@ def render_sarif(
             "message": {"text": diag.message},
         }
         if diag.span.is_valid:
-            result["locations"] = [_sarif_location(diag.span, src_root=src_root)]
+            result["locations"] = [
+                _sarif_location(diag.span, uri_of(diag.span.file))
+            ]
         if diag.fingerprint:
             result["partialFingerprints"] = {"qlint/v1": diag.fingerprint}
         flow_locations = [
-            {"location": _sarif_location(step.span, step.note, src_root=src_root)}
+            {"location": _sarif_location(step.span, uri_of(step.span.file), step.note)}
             for step in diag.flow
             if step.span.is_valid
         ]
@@ -209,8 +286,8 @@ def render_sarif(
         },
         "results": results,
     }
-    if src_root is not None:
-        uri = Path(src_root).resolve().as_uri()
+    if root is not None:
+        uri = root.as_uri()
         run["originalUriBaseIds"] = {
             "SRCROOT": {"uri": uri if uri.endswith("/") else uri + "/"}
         }
@@ -220,16 +297,31 @@ def render_sarif(
         # SARIF logs stay byte-identical to the pre-ingestion tool's.
         run["properties"] = {
             "qlint/unitStatus": {
-                _relative_uri(file, src_root)[0]: unit_status[file]
-                for file in sorted(unit_status)
+                uri_of(file)[0]: unit_status[file] for file in sorted(unit_status)
             }
         }
-    log = {
+    return {
         "$schema": SARIF_SCHEMA,
         "version": "2.1.0",
         "runs": [run],
     }
-    return json.dumps(log, indent=2) + "\n"
+
+
+def render_sarif(
+    diagnostics: Iterable[Diagnostic],
+    src_root: str | None = None,
+    unit_status: Mapping[str, str] | None = None,
+) -> str:
+    """A SARIF 2.1.0 log: one run, one result per diagnostic, the
+    qualifier-flow trace as a codeFlow/threadFlow, fingerprints under
+    ``partialFingerprints``, suppressions as kind ``inSource``.
+
+    With ``src_root``, artifact URIs for files under it are emitted
+    repo-relative against a ``SRCROOT`` uriBase (declared in the run's
+    ``originalUriBaseIds``), so logs are machine-portable: the same
+    checkout analysed at two absolute paths produces byte-identical
+    SARIF."""
+    return _dumps(_sarif_log(diagnostics, src_root, unit_status))
 
 
 def render_diagnostics(

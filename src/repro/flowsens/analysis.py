@@ -137,15 +137,19 @@ class FlowAnalysis:
         #: (kind, variable, label, qual at the point, required bound)
         self.checks: list[tuple[str, str, str, Qual, LatticeElement]] = []
         self.cell_vars: dict[str, QualVar] = {}
-        #: off during loop points-to trials, so each check (and each
-        #: event a subclass records) is recorded once, by the exit pass
+        #: off during loop points-to trials, so each constraint, check
+        #: (and each event a subclass records) is recorded once, by the
+        #: exit pass, whose site sets contain every trial's
         self._recording = True
 
     # -- plumbing --------------------------------------------------------
     def _emit(
         self, lhs: Qual, rhs: Qual, reason: str, at: FlowStmt | None = None
     ) -> None:
-        self.constraints.append(QualConstraint(lhs, rhs, self._origin(reason, at)))
+        if self._recording:
+            self.constraints.append(
+                QualConstraint(lhs, rhs, self._origin(reason, at))
+            )
 
     @staticmethod
     def _origin(reason: str, at: FlowStmt | None = None) -> Origin:
@@ -317,7 +321,8 @@ class FlowAnalysis:
                 # until the body adds no site (bounded by the number of
                 # sites).  With no pointer in scope nothing can grow, so
                 # there is no trial.  Trials record nothing; only the
-                # exit pass observes checks and events.
+                # exit pass emits constraints and observes checks and
+                # events.
                 was = self._recording
                 self._recording = False
                 try:

@@ -3,10 +3,11 @@ weak updates on aliased cells vs strong updates on locals, all through
 the one walker (:func:`repro.flowsens.analysis.analyze_flow`)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.flowsens.analysis import analyze_flow
+from repro.flowsens import analysis as analysis_module
+from repro.flowsens.analysis import FlowAnalysis, analyze_flow
 from repro.flowsens.language import (
     AnnotStmt,
     Assign,
@@ -315,6 +316,29 @@ class TestOneWalker:
         assert [p[1] for p in result.check_points] == ["in-loop"]
         assert len(result.failures) == 1
 
+    def test_trial_passes_emit_no_constraints(self, taint, monkeypatch):
+        # the exit pass's site sets contain every trial's, so its flows
+        # cover the trials'; a trial's own variables reach no constraint
+        program = block(
+            Assign("n", lit(taint, "tainted")),
+            NewCell("p", "site_a"),
+            NewCell("q", "site_b"),
+            While(
+                "n",
+                body=(
+                    StoreCell("p", VarRef("n")),
+                    LoadCell("x", "p"),
+                    CopyPtr("p", "q"),
+                ),
+            ),
+            LoadCell("y", "q"),
+            AssertStmt("y", taint.element(), label="sink"),
+        )
+        trial_vars, mentioned = _trial_and_mentioned(program, taint, monkeypatch)
+        assert trial_vars
+        assert not trial_vars & mentioned
+        assert not analyze_flow(program, taint).ok
+
     def test_foreign_literal_rejected_with_cells(self, taint):
         program = block(
             NewCell("p", "buf"),
@@ -382,3 +406,40 @@ def test_each_check_is_recorded_once(body):
     )
     result = analyze_flow(prologue + body, _LATTICE)
     assert len(result.check_points) == _check_occurrences(body)
+
+
+def _trial_and_mentioned(program, lattice, monkeypatch):
+    """(variables drawn during loop trials, variables the constraints
+    mention) for one run of the walker.  A cell's variable is left out
+    even when a trial allocates the site first: it is shared by every
+    pass and flow-insensitive, so the exit pass rightly reuses it."""
+    analysis = FlowAnalysis(lattice)
+    trial_vars = set()
+    real = analysis_module.fresh_qual_var
+
+    def fresh(prefix):
+        var = real(prefix)
+        if not analysis._recording:
+            trial_vars.add(var)
+        return var
+
+    monkeypatch.setattr(analysis_module, "fresh_qual_var", fresh)
+    analysis.analyze(program)
+    mentioned = {q for c in analysis.constraints for q in (c.lhs, c.rhs)}
+    return trial_vars - set(analysis.cell_vars.values()), mentioned
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PROGRAMS)
+# a trial allocates s3 first; its cell variable is the exit pass's too
+@example((While("x", (NewCell("p", "s3"), StoreCell("p", VarRef("x")))),))
+def test_no_constraint_mentions_a_trial_variable(body):
+    prologue = tuple(Assign(x, Literal(_LATTICE.element())) for x in _SCALARS) + (
+        NewCell("p", "s1"),
+        NewCell("q", "s2"),
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        trial_vars, mentioned = _trial_and_mentioned(
+            prologue + body, _LATTICE, monkeypatch
+        )
+    assert not trial_vars & mentioned
