@@ -21,43 +21,54 @@ from typing import Optional, Union
 from .ctypes import CArray, CFunc, CPointer, CType, is_const
 
 
+# Every node class is ``@dataclass(slots=True, unsafe_hash=True)``, as are
+# the C types and the flow language (DESIGN.md, "Per-node value
+# classes"): a slotted class that assigns its fields plainly builds in
+# under half the time of a frozen one, which pays ``object.__setattr__``
+# per field.  Nodes stay values: ``unsafe_hash`` keeps the field hash a
+# frozen class had, so equal nodes hash equal, and spans
+# (``compare=False``) take part in neither.  Nothing mutates a node once
+# built; tests/test_tree_values.py runs the whole pipeline and checks
+# that every tree is ``repr``-identical afterwards.
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CExpr:
     line: int = field(default=0, kw_only=True, compare=False)
     col: int = field(default=0, kw_only=True, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ident(CExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntConst(CExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FloatConst(CExpr):
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CharConst(CExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StringConst(CExpr):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unary(CExpr):
     """Prefix unary: one of ``- + ~ ! * & ++ --`` (and postfix ``p++ p--``
     distinguished by ``postfix``)."""
@@ -67,14 +78,14 @@ class Unary(CExpr):
     postfix: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binary(CExpr):
     op: str
     left: CExpr
     right: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assignment(CExpr):
     """``lhs op rhs`` where op is ``=`` or a compound assignment."""
 
@@ -83,20 +94,20 @@ class Assignment(CExpr):
     value: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Conditional(CExpr):
     cond: CExpr
     then: CExpr
     other: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call(CExpr):
     func: CExpr
     args: tuple[CExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Member(CExpr):
     """``base.field`` (arrow=False) or ``base->field`` (arrow=True)."""
 
@@ -105,30 +116,30 @@ class Member(CExpr):
     arrow: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Index(CExpr):
     base: CExpr
     index: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cast(CExpr):
     target_type: CType
     operand: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SizeofType(CExpr):
     target_type: CType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Comma(CExpr):
     left: CExpr
     right: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InitList(CExpr):
     items: tuple[CExpr, ...]
 
@@ -138,52 +149,52 @@ class InitList(CExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CStmt:
     line: int = field(default=0, kw_only=True, compare=False)
     col: int = field(default=0, kw_only=True, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExprStmt(CStmt):
     expr: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EmptyStmt(CStmt):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DeclStmt(CStmt):
     decls: tuple["VarDecl", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compound(CStmt):
     body: tuple[CStmt, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IfStmt(CStmt):
     cond: CExpr
     then: CStmt
     other: Optional[CStmt]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WhileStmt(CStmt):
     cond: CExpr
     body: CStmt
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DoWhileStmt(CStmt):
     body: CStmt
     cond: CExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ForStmt(CStmt):
     init: Optional[Union[CExpr, "DeclStmt"]]
     cond: Optional[CExpr]
@@ -191,39 +202,39 @@ class ForStmt(CStmt):
     body: CStmt
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReturnStmt(CStmt):
     value: Optional[CExpr]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BreakStmt(CStmt):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ContinueStmt(CStmt):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GotoStmt(CStmt):
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LabeledStmt(CStmt):
     label: str
     stmt: CStmt
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SwitchStmt(CStmt):
     value: CExpr
     body: CStmt
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CaseStmt(CStmt):
     value: Optional[CExpr]  # None for default:
     stmt: CStmt
@@ -234,7 +245,7 @@ class CaseStmt(CStmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ParamDecl:
     """One function parameter: possibly unnamed in prototypes."""
 
@@ -245,7 +256,7 @@ class ParamDecl:
     file: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarDecl:
     name: str
     type: CType
@@ -256,7 +267,7 @@ class VarDecl:
     file: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldDecl:
     name: str
     type: CType
@@ -265,7 +276,7 @@ class FieldDecl:
     file: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StructDef:
     tag: str
     fields: tuple[FieldDecl, ...]
@@ -275,7 +286,7 @@ class StructDef:
     file: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EnumDef:
     tag: str
     enumerators: tuple[tuple[str, Optional[CExpr]], ...]
@@ -284,7 +295,7 @@ class EnumDef:
     file: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FuncDecl:
     """A function prototype (no body)."""
 
@@ -298,7 +309,7 @@ class FuncDecl:
     file: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FuncDef:
     """A function definition with a body."""
 
@@ -313,7 +324,7 @@ class FuncDef:
     file: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypedefDecl:
     name: str
     type: CType
@@ -325,7 +336,7 @@ class TypedefDecl:
 TopLevel = Union[VarDecl, FuncDecl, FuncDef, StructDef, EnumDef, TypedefDecl]
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationUnit:
     """A parsed C file (or concatenation of files, as the paper analysed
     whole packages at once)."""

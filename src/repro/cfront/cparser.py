@@ -296,7 +296,6 @@ class _CParser:
         quals: set[str] = set()
         kind_words: list[str] = []
         base: Optional[CType] = None
-        line = self.peek().line
 
         while True:
             tok = self.peek()
@@ -339,11 +338,10 @@ class _CParser:
             else:
                 if not quals and storage is None:
                     raise CParseError("expected declaration specifiers", self.peek())
-                base = CBase("int", )  # implicit int (pre-C99 style)
+                base = CBase("int")  # implicit int (pre-C99 style)
         if quals:
             existing = base.quals if not isinstance(base, CFunc) else frozenset()
             base = with_quals(base, existing | frozenset(quals))
-        del line
         return base, storage
 
     def parse_struct_specifier(self, is_union: bool) -> CType:

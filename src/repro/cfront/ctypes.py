@@ -30,7 +30,7 @@ lower bounds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Union
 
 from ..qual.qtypes import (
@@ -45,12 +45,16 @@ from ..qual.qtypes import (
 )
 
 
+# C types are slotted value classes like the AST nodes (see the note in
+# cast.py): hashed by field, never mutated; ``with_quals`` builds a copy.
+
+
 # ---------------------------------------------------------------------------
 # C types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CBase:
     """An arithmetic or void base type (int, char, double, void, ...)."""
 
@@ -62,7 +66,7 @@ class CBase:
         return f"{prefix}{self.kind}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CPointer:
     target: "CType"
     quals: frozenset[str] = frozenset()
@@ -72,7 +76,7 @@ class CPointer:
         return f"{self.target} *{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CArray:
     element: "CType"
     size: int | None = None
@@ -83,7 +87,7 @@ class CArray:
         return f"{self.element} [{dim}]"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CStruct:
     """Reference to a struct/union type by tag.  Field layouts live in the
     translation unit's struct table (fields are shared per definition,
@@ -99,7 +103,7 @@ class CStruct:
         return f"{prefix}{kw} {self.tag}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CEnum:
     tag: str
     quals: frozenset[str] = frozenset()
@@ -109,7 +113,7 @@ class CEnum:
         return f"{prefix}enum {self.tag}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CFunc:
     ret: "CType"
     params: tuple["CType", ...]
@@ -134,7 +138,7 @@ def with_quals(t: CType, quals: frozenset[str]) -> CType:
     """Return ``t`` with its qualifier set replaced."""
     if isinstance(t, CFunc):
         return t
-    return type(t)(**{**t.__dict__, "quals": quals})
+    return replace(t, quals=quals)
 
 
 def add_qual(t: CType, name: str) -> CType:
@@ -212,7 +216,7 @@ def fun_con(arity: int) -> TypeConstructor:
     return intern_constructor(f"cfun{arity}", variances)
 
 
-@dataclass
+@dataclass(slots=True)
 class LevelInfo:
     """Metadata for one qualifier position produced by the translation."""
 
@@ -223,7 +227,7 @@ class LevelInfo:
     depth: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslatedType:
     """Result of :func:`lvalue_qtype`: the qualified l-value type plus the
     per-level metadata the const counter needs."""

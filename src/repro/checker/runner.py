@@ -191,6 +191,7 @@ def check_one_source(
     path_text: str,
     check_names: tuple[str, ...],
     cache: AnalysisCache | None,
+    cache_options: dict | None,
     best_effort: bool = False,
     include_paths: tuple[str, ...] = (),
     parse_unit: Callable[[str, str], object] | None = None,
@@ -200,7 +201,9 @@ def check_one_source(
     fingerprinted and suppression-marked, error, from_cache, status,
     analysed-function count).  ``parse_unit`` replaces the strict
     parser (best-effort mode keeps its own), as in
-    :func:`check_whole_program`.
+    :func:`check_whole_program`.  ``cache_options`` keys ``cache``: the
+    run's :func:`_cache_options`, which the caller builds once per run,
+    not once per unit.
 
     Strict mode (the default) raises nothing but reports a parse/sema
     failure as ``error`` with no diagnostics — the seed behaviour.
@@ -213,11 +216,7 @@ def check_one_source(
 
     key = None
     if cache is not None:
-        key = cache.key(
-            CACHE_KIND,
-            source=source,
-            options=_cache_options(check_names, best_effort, include_paths),
-        )
+        key = cache.key(CACHE_KIND, source=source, options=cache_options)
         cached = _cached_payload(cache.get(key), str, int)
         if cached is not None:
             diagnostics, status, functions = cached
@@ -253,12 +252,13 @@ def _check_one(
     cache_dir: str | None,
     best_effort: bool,
     include_paths: tuple[str, ...],
+    cache_options: dict | None,
 ) -> tuple[list[Diagnostic], str | None, bool, str, int]:
     """Worker: :func:`check_one_source` with a cache opened from its
     directory.  Top-level so it pickles into a process pool."""
     cache = AnalysisCache(cache_dir) if cache_dir else None
     return check_one_source(
-        source, path_text, check_names, cache, best_effort, include_paths
+        source, path_text, check_names, cache, cache_options, best_effort, include_paths
     )
 
 
@@ -301,6 +301,13 @@ def check_paths(
     files, texts, unreadable = load_sources(paths, sources)
     cache_text = str(cache_dir) if cache_dir is not None else None
     include_tuple = tuple(str(p) for p in include_paths)
+    # One config digest per run, not per unit; never memoised across
+    # runs, so a rule edited between runs still changes the key.
+    cache_options = (
+        _cache_options(check_names, best_effort, include_tuple)
+        if cache is not None or cache_text is not None
+        else None
+    )
 
     report = CheckerReport(files=files, sources=texts)
     names = list(texts)
@@ -315,6 +322,7 @@ def check_paths(
                     repeat(cache_text),
                     repeat(best_effort),
                     repeat(include_tuple),
+                    repeat(cache_options),
                 )
             )
     else:
@@ -326,6 +334,7 @@ def check_paths(
                 name,
                 check_names,
                 cache,
+                cache_options,
                 best_effort,
                 include_tuple,
                 parse_unit,

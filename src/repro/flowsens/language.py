@@ -43,26 +43,31 @@ from typing import Union
 from ..qual.lattice import LatticeElement
 
 
+# Slotted value classes like the C AST (see the note in
+# repro/cfront/cast.py): hashed by field, spans and labels excluded, and
+# never mutated once built.
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarRef:
     """The current value of a variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Literal:
     """A constant with a known qualifier."""
 
     qual: LatticeElement
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Join:
     """A value that may come from either operand (binary operations,
     conditional expressions)."""
@@ -79,7 +84,7 @@ FlowExpr = Union[VarRef, Literal, Join]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FlowStmt:
     label: str = field(default="", kw_only=True, compare=False)
     #: Optional source span for statements lowered from real C
@@ -90,7 +95,7 @@ class FlowStmt:
     file: str = field(default="", kw_only=True, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign(FlowStmt):
     """``x = e`` — a strong update of x."""
 
@@ -98,7 +103,7 @@ class Assign(FlowStmt):
     value: FlowExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AnnotStmt(FlowStmt):
     """Raise x's qualifier to at least ``level`` (checked monotone)."""
 
@@ -106,7 +111,7 @@ class AnnotStmt(FlowStmt):
     level: LatticeElement
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AssertStmt(FlowStmt):
     """Check x's qualifier is at most ``level`` at this point."""
 
@@ -114,7 +119,7 @@ class AssertStmt(FlowStmt):
     level: LatticeElement
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Refine(FlowStmt):
     """Run ``body`` under the assumption that ``target`` satisfies
     qualifier ``qualifier``'s restrictive reading — the null-check /
@@ -127,7 +132,7 @@ class Refine(FlowStmt):
     body: tuple[FlowStmt, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class If(FlowStmt):
     """Branch on ``cond`` (no refinement); merge joins both sides."""
 
@@ -136,7 +141,7 @@ class If(FlowStmt):
     else_: tuple[FlowStmt, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class While(FlowStmt):
     """Loop on ``cond``; the body's exit state flows back to the head."""
 
@@ -144,7 +149,7 @@ class While(FlowStmt):
     body: tuple[FlowStmt, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Havoc(FlowStmt):
     """``x`` receives an unknown value (external input)."""
 
@@ -162,7 +167,7 @@ class Havoc(FlowStmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NewCell(FlowStmt):
     """``p = alloc(site)``: p points to the (one) cell of this site."""
 
@@ -173,7 +178,7 @@ class NewCell(FlowStmt):
     via: "CallVia | None" = field(default=None, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StoreCell(FlowStmt):
     """``*p = e`` — weak update: the value joins the cell's contents."""
 
@@ -181,7 +186,7 @@ class StoreCell(FlowStmt):
     value: FlowExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LoadCell(FlowStmt):
     """``x = *p`` — strong update of x with the cell's contents."""
 
@@ -189,7 +194,7 @@ class LoadCell(FlowStmt):
     pointer: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CopyPtr(FlowStmt):
     """``q = p`` — q aliases whatever p points to."""
 
@@ -204,7 +209,7 @@ class CopyPtr(FlowStmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CallVia:
     """Provenance of a resource event that was *substituted* from a
     callee's ownership summary (:mod:`repro.flowsens.ownership`): the
@@ -218,7 +223,7 @@ class CallVia:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FreeCell(FlowStmt):
     """``free(p)`` — the resource held by ``p`` (and its must-aliases)
     is released.  Generic analyses ignore it."""
@@ -229,7 +234,7 @@ class FreeCell(FlowStmt):
     via: "CallVia | None" = field(default=None, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UseCell(FlowStmt):
     """``p`` is observed (dereferenced, passed to a borrowing callee,
     returned).  The linearity pack checks use-after-free here; generic
@@ -238,7 +243,7 @@ class UseCell(FlowStmt):
     pointer: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExitPoint(FlowStmt):
     """A function exit (``return`` or falling off the end).  The
     linearity pack checks leak obligations for every live local here;

@@ -386,3 +386,70 @@ class TestConfigInCacheKey:
         assert [d.to_dict() for d in warm.diagnostics] == [
             d.to_dict() for d in cold.diagnostics
         ]
+
+    @staticmethod
+    def _count_digests(monkeypatch):
+        from repro.checker import runner
+
+        calls = []
+        real = runner.config_digest
+
+        def counting(check_names):
+            calls.append(check_names)
+            return real(check_names)
+
+        monkeypatch.setattr(runner, "config_digest", counting)
+        return calls
+
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_config_digest_is_computed_once_per_run(self, tmp_path, monkeypatch, whole):
+        from repro.checker.runner import analyze
+
+        for index in range(3):
+            (tmp_path / f"unit{index}.c").write_text(f"{TAINT_SRC}/* {index} */\n")
+        calls = self._count_digests(monkeypatch)
+        cache = tmp_path / ".cache"
+        for expected_hits in (0, 1 if whole else 3):  # cold, then warm
+            calls.clear()
+            report = analyze([tmp_path], whole_program=whole, cache_dir=cache)
+            assert report.diagnostics
+            assert report.cache_hits == expected_hits
+            assert len(calls) == 1
+
+    def test_config_digest_is_computed_once_per_daemon_request(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve import Session
+
+        for index in range(3):
+            (tmp_path / f"unit{index}.c").write_text(f"{TAINT_SRC}/* {index} */\n")
+        calls = self._count_digests(monkeypatch)
+        session = Session(cache_dir=str(tmp_path / ".cache"))
+        try:
+            for whole in (False, True, False, True):
+                calls.clear()
+                session.analyze({"paths": [str(tmp_path)], "whole_program": whole})
+                assert len(calls) == 1
+        finally:
+            session.close()
+
+    def test_rule_edited_between_runs_misses_the_cache(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from repro.checker import checks
+
+        (tmp_path / "bug.c").write_text(TAINT_SRC)
+        cache = tmp_path / ".cache"
+        cold = check_paths([tmp_path], cache_dir=cache)
+        assert (cold.cache_hits, cold.cache_misses) == (0, 1)
+        edited = tuple(
+            dataclasses.replace(check, severity="note")
+            if check.name == "tainted-format"
+            else check
+            for check in checks.ALL_CHECKS
+        )
+        monkeypatch.setattr(checks, "ALL_CHECKS", edited)
+        rerun = check_paths([tmp_path], cache_dir=cache)
+        # same source and check names, edited rule: a fresh entry
+        assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)
+        assert {d.severity for d in rerun.diagnostics} == {"note"}
