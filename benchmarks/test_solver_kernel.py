@@ -9,9 +9,9 @@ Three layers are measured separately so regressions localise:
   pipeline (:func:`repro.qual.solver.solve`) against the provenance-
   tracking worklist oracle (:func:`repro.qual.solver.solve_reference`)
   on the graph shapes inference produces;
-* **incremental fork** — re-solving a grown system via
-  :meth:`IndexedSystem.fork` versus re-categorising from scratch, the
-  ``run_polyrec`` round pattern.
+* **grown-system re-solve** — categorising and solving a large base
+  system plus a small delta from scratch, the ``run_polyrec`` round
+  pattern.
 
 End-to-end measures (the Table 2 suite, a CI lint job, editor
 turnaround) live in ``qbench/``; ``BENCH_solver.json`` keeps the
@@ -23,7 +23,7 @@ import pytest
 from repro.qual.constraints import QualConstraint
 from repro.qual.qtypes import fresh_qual_var
 from repro.qual.qualifiers import const_lattice, paper_figure2_lattice
-from repro.qual.solver import IndexedSystem, solve, solve_reference
+from repro.qual.solver import solve, solve_reference
 
 from test_solver_bench import chain_system, cyclic_system, fanout_system
 
@@ -113,7 +113,7 @@ def test_condensation_and_reference_agree_here():
 
 
 # ---------------------------------------------------------------------------
-# Incremental fork vs. re-categorisation
+# Re-solving a grown system from scratch
 # ---------------------------------------------------------------------------
 
 
@@ -121,21 +121,6 @@ def _grown_system(lattice, base_n=8_000, delta_n=200):
     _, base = chain_system(lattice, base_n)
     _, delta = chain_system(lattice, delta_n)
     return base, delta
-
-
-def test_bench_fork_resolve(benchmark):
-    lattice = const_lattice()
-    base, delta = _grown_system(lattice)
-    indexed = IndexedSystem(lattice)
-    indexed.add_many(base)
-
-    def round_trip():
-        system = indexed.fork()
-        system.add_many(delta)
-        return system.solve()
-
-    solution = benchmark(round_trip)
-    assert solution.stats.constraints == len(base) + len(delta)
 
 
 def test_bench_scratch_resolve(benchmark):

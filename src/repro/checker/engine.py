@@ -49,7 +49,7 @@ from ..cfront.ctypes import (
 )
 from ..cfront.sema import Program
 from ..constinfer.analysis import ConstInference
-from ..constinfer.engine import _create_shared_cells
+from ..constinfer.engine import generate_mono
 from ..qual.constraints import Origin, QualConstraint
 from ..qual.lattice import LatticeElement
 from ..qual.qtypes import QType, Qual, QualVar, quals_of
@@ -518,12 +518,7 @@ def check_program(
     )
     if flow_checks:
         inference = CheckerInference(program, lattice_for(flow_checks))
-        _create_shared_cells(inference)
-        for fdef in program.functions.values():
-            inference.signature_for(fdef)
-        for fdef in program.functions.values():
-            inference.analyze_function(fdef)
-        inference.analyze_global_initializers()
+        generate_mono(inference)
 
         seed_functions = _seed_checks(inference, flow_checks)
         obligations = _collect_obligations(inference, flow_checks)

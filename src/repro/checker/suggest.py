@@ -40,7 +40,7 @@ from typing import Iterator, Optional
 from ..cfront.cast import Cast, DeclStmt, ForStmt, FuncDef, VarDecl
 from ..cfront.sema import Program, expressions_of, statements
 from ..constinfer.analysis import TranslatedType
-from ..constinfer.engine import _create_shared_cells
+from ..constinfer.engine import generate_mono
 from ..qual.lattice import QualifierLattice
 from ..qual.qtypes import QualVar, quals_of
 from ..qual.solver import (
@@ -216,12 +216,7 @@ def _value_suggestions(program: Program) -> list[Suggestion]:
             return cell
 
     inference = _Recording(program, lattice)
-    _create_shared_cells(inference)
-    for fdef in program.functions.values():
-        inference.signature_for(fdef)
-    for fdef in program.functions.values():
-        inference.analyze_function(fdef)
-    inference.analyze_global_initializers()
+    generate_mono(inference)
     _seed_checks(inference, value_checks)
 
     decls = _declarations(program, inference)
@@ -384,11 +379,17 @@ def suggest_source(
     filename: str = "<input>",
     include_paths: tuple[str, ...] = (),
     top: int = 3,
+    parse_unit=None,
 ) -> list[Suggestion]:
-    """Best-effort suggestions for one translation unit."""
+    """Best-effort suggestions for one translation unit.
+    ``parse_unit(filename, source)``, when given, replaces the stock
+    resilient parser (the daemon passes its resident parse memo)."""
     from ..cfront.cparser import parse_c_resilient
 
-    result = parse_c_resilient(source, filename, include_paths=include_paths)
+    if parse_unit is None:
+        result = parse_c_resilient(source, filename, include_paths=include_paths)
+    else:
+        result = parse_unit(filename, source)
     try:
         program = Program.from_units([result.unit])
     except Exception:
@@ -404,6 +405,7 @@ def suggest_paths(
     include_paths: tuple[str, ...] = (),
     top: int = 3,
     sources=None,
+    parse_unit=None,
 ) -> tuple[list[str], list[Suggestion], dict[str, str]]:
     """Suggestions for several files, concatenated in path order.
 
@@ -411,14 +413,17 @@ def suggest_paths(
     :func:`~repro.checker.runner.load_sources` discovered, and
     unreadable files land in ``errors`` instead of raising, mirroring
     the checker runner.  ``sources`` overlays in-memory text over the
-    filesystem, as in :func:`suggest_paths_whole`."""
+    filesystem and ``parse_unit`` replaces the stock resilient parser,
+    as in :func:`suggest_paths_whole`."""
     from .runner import load_sources
 
     files, texts, errors = load_sources(paths, sources)
     out: list[Suggestion] = []
     for name, text in texts.items():
         out.extend(
-            suggest_source(text, name, include_paths=include_paths, top=top)
+            suggest_source(
+                text, name, include_paths=include_paths, top=top, parse_unit=parse_unit
+            )
         )
     return files, out, errors
 

@@ -162,31 +162,8 @@ def run_mono(
     """
     start = time.perf_counter()
     inference = ConstInference(program, lattice, **inference_options)
-    _create_shared_cells(inference)
-
-    # Signatures first (shared by every call site), prototypes included.
-    for fdef in program.functions.values():
-        inference.signature_for(fdef)
-
-    for fdef in program.functions.values():
-        inference.analyze_function(fdef)
-    inference.analyze_global_initializers()
-
-    congen_done = time.perf_counter()
-    solution = _solve(inference)
-    end = time.perf_counter()
-    timings = StageTimings(
-        congen_seconds=congen_done - start, solve_seconds=end - congen_done
-    )
-    return InferenceRun(
-        "mono",
-        solution,
-        inference.positions,
-        len(inference.constraints),
-        end - start,
-        inference,
-        timings,
-    )
+    generate_mono(inference)
+    return _solved_run("mono", inference, start)
 
 
 @_collector_paused()
@@ -218,7 +195,19 @@ def run_poly(
         )
 
     inference.analyze_global_initializers()
+    return _solved_run("poly", inference, start, generalize_seconds)
 
+
+def _solved_run(
+    mode: str,
+    inference: ConstInference,
+    start: float,
+    generalize_seconds: float = 0.0,
+    from_cache: bool = False,
+) -> InferenceRun:
+    """Solve a finished generation pass and wrap it as an
+    :class:`InferenceRun`; congen is the time since ``start`` less
+    generalisation and the solve."""
     congen_done = time.perf_counter()
     solution = _solve(inference)
     end = time.perf_counter()
@@ -226,9 +215,10 @@ def run_poly(
         congen_seconds=congen_done - start - generalize_seconds,
         solve_seconds=end - congen_done,
         generalize_seconds=generalize_seconds,
+        from_cache=from_cache,
     )
     return InferenceRun(
-        "poly",
+        mode,
         solution,
         inference.positions,
         len(inference.constraints),
@@ -313,16 +303,7 @@ def run_polyrec(
     boundary = _uid_boundary()
     base_constraints = len(inference.constraints)
     library_sigs = dict(inference.signatures)
-
-    # The shared monomorphic prefix (globals, struct fields, library
-    # signatures) is identical in every fixpoint round: categorise and
-    # dedupe it into an indexed system once, then fork a cheap copy per
-    # round instead of re-solving the whole accumulated list from scratch.
-    solve_start = time.perf_counter()
-    base_system = IndexedSystem(inference.lattice)
-    base_system.add_many(inference.constraints[:base_constraints])
-    solve_seconds = time.perf_counter() - solve_start
-    generalize_seconds = 0.0
+    solve_seconds = generalize_seconds = 0.0
 
     previous_summary: dict[str, tuple] | None = None
     assumptions: dict[str, "object"] = {}
@@ -334,19 +315,15 @@ def run_polyrec(
         inference.signatures = dict(library_sigs)
         inference.schemes = dict(assumptions)
 
-        for fdef in program.functions.values():
-            inference.signature_for(fdef)
         # NOTE: function_value prefers schemes, so every call to a
         # defined function instantiates its assumed scheme — recursion
         # included.  (On the first round there are no assumptions yet
         # and calls share the round's signatures, which only makes the
         # first summary more conservative, never unsound.)
-        for fdef in program.functions.values():
-            inference.analyze_function(fdef)
-        inference.analyze_global_initializers()
+        _generate_functions(inference)
 
         solve_start = time.perf_counter()
-        solution = _solve_incremental(base_system, inference, base_constraints)
+        solution = _solve(inference)
         summary = _signature_summary(inference, solution)
         gen_start = time.perf_counter()
         solve_seconds += gen_start - solve_start
@@ -363,7 +340,7 @@ def run_polyrec(
         generalize_seconds += time.perf_counter() - gen_start
     else:
         solve_start = time.perf_counter()
-        solution = _solve_incremental(base_system, inference, base_constraints)
+        solution = _solve(inference)
         solve_seconds += time.perf_counter() - solve_start
 
     elapsed = time.perf_counter() - start
@@ -401,6 +378,26 @@ def _signature_summary(inference: ConstInference, solution: Solution):
                 bounds.append((qual.present, qual.present))
         out[name] = tuple(bounds)
     return out
+
+
+def generate_mono(inference: ConstInference) -> None:
+    """The monomorphic generation pass: shared cells, then every
+    signature (shared by every call site, prototypes included), every
+    body and the global initialisers.  ``run_mono``, the checker and the
+    suggester generate through here."""
+    _create_shared_cells(inference)
+    _generate_functions(inference)
+
+
+def _generate_functions(inference: ConstInference) -> None:
+    """Every signature, then every body, then the global initialisers
+    (one :func:`run_polyrec` round, over already-created shared cells)."""
+    functions = inference.program.functions.values()
+    for fdef in functions:
+        inference.signature_for(fdef)
+    for fdef in functions:
+        inference.analyze_function(fdef)
+    inference.analyze_global_initializers()
 
 
 def _create_shared_cells(inference: ConstInference) -> None:
@@ -444,16 +441,3 @@ def _solve(inference: ConstInference) -> Solution:
     except UnsatisfiableError as exc:
         raise _wrap_unsat(exc) from exc
 
-
-def _solve_incremental(
-    base_system: IndexedSystem, inference: ConstInference, base_constraints: int
-) -> Solution:
-    """Solve the current round's system by forking the pre-indexed shared
-    prefix and adding only the constraints generated after it."""
-    try:
-        return base_system.fork().solve(
-            [p.var for p in inference.positions],
-            inference.constraints[base_constraints:],
-        )
-    except UnsatisfiableError as exc:
-        raise _wrap_unsat(exc) from exc

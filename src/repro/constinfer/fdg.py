@@ -7,11 +7,12 @@ polymorphic inference analyses SCCs in reverse topological order
 (callees first) and generalises after each SCC, mimicking nested
 ``let``-blocks.
 
-SCCs are computed with an iterative Tarjan's algorithm (no recursion
-limit issues on large benchmarks); the returned component order is
-already a reverse topological order of the condensation — Tarjan emits a
-component only after all components it reaches — which is exactly the
-traversal order Section 4.3 prescribes.
+SCCs come from the solver's iterative Tarjan, through
+:func:`repro.qual.flatcore.sccs_of` (no recursion limit issues on large
+benchmarks), with the vertices in name order.  Its component order is
+already a reverse topological order of the condensation — Tarjan emits
+a component only after all components it reaches — which is exactly
+the traversal order Section 4.3 prescribes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cfront.sema import Program, occurring_names
+from ..qual.flatcore import sccs_of
 
 
 @dataclass
@@ -63,53 +65,10 @@ class FunctionDependenceGraph:
 
     def sccs(self) -> list[list[str]]:
         """Strongly connected components in reverse topological order of
-        the condensation (every component's callees appear earlier)."""
-        index_of: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        components: list[list[str]] = []
-        counter = 0
-
-        for root in self.vertices:
-            if root in index_of:
-                continue
-            # Iterative Tarjan: work items are (node, iterator position).
-            work: list[tuple[str, int]] = [(root, 0)]
-            while work:
-                node, child_index = work.pop()
-                if child_index == 0:
-                    index_of[node] = counter
-                    lowlink[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                successors = sorted(self.edges.get(node, ()))
-                recurse = False
-                for position in range(child_index, len(successors)):
-                    succ = successors[position]
-                    if succ not in index_of:
-                        work.append((node, position + 1))
-                        work.append((succ, 0))
-                        recurse = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[succ])
-                if recurse:
-                    continue
-                if lowlink[node] == index_of[node]:
-                    component: list[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(sorted(component))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-        return components
+        the condensation (every component's callees appear earlier),
+        members sorted.  Vertices and successors are visited in name
+        order, so the order is deterministic."""
+        return sccs_of(self.vertices, lambda name: self.edges.get(name, ()))
 
     def wavefronts(self) -> list[list[list[str]]]:
         """SCCs grouped by condensation depth, shallowest level first.

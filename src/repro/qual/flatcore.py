@@ -42,7 +42,7 @@ testkit's ``flatcore`` oracle and the hypothesis properties in
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .constraints import QualConstraint
 from .lattice import LatticeElement, QualifierLattice
@@ -427,11 +427,29 @@ def _kernel_slow(
     return _KernelResult(low, high, ncomp, collapsed, largest, dag_edges, steps, violation)
 
 
+def sccs_of(nodes: Sequence, successors: Callable[[object], Iterable]) -> list[list]:
+    """Strongly connected components of the graph over ``nodes`` with
+    ``successors(node)``, every component's successors first (the order
+    :func:`_tarjan` completes them).  Roots and successors are visited
+    in ``nodes`` order, and members are listed in that order too."""
+    index_of = {node: i for i, node in enumerate(nodes)}
+    succ = [sorted(index_of[w] for w in successors(node)) for node in nodes]
+    comp, sizes = _tarjan(len(nodes), succ)
+    components: list[list] = [[] for _ in sizes]
+    for i, cid in enumerate(comp):
+        components[cid].append(nodes[i])
+    return components
+
+
 def _tarjan(n: int, succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """Iterative Tarjan over successor lists.  Returns (component id per
     node, component sizes); ids are in completion order, so every
     inter-component edge goes from a higher id to a lower one, the
-    invariant both propagation passes rely on."""
+    invariant both propagation passes rely on.  Roots are taken in node
+    order and successors in list order, so the numbering is a function
+    of the input.  This is the package's one SCC routine: the function
+    dependence graph and scheme minimisation reach it through
+    :func:`sccs_of`."""
     index_of = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .constraints import QualConstraint
+from .flatcore import sccs_of
 from .qtypes import (
     QType,
     Qual,
@@ -302,8 +303,12 @@ def minimize_scheme(scheme: QualScheme, lattice=None) -> QualScheme:
         if isinstance(c.lhs, QualVar) and isinstance(c.rhs, QualVar):
             if c.lhs in bound and c.rhs in bound:
                 adjacency.setdefault(c.lhs, set()).add(c.rhs)
+    vertices = sorted(
+        set(adjacency) | {w for ws in adjacency.values() for w in ws},
+        key=lambda v: v.uid,
+    )
     representative: dict[QualVar, QualVar] = {}
-    for component in _var_sccs(adjacency):
+    for component in sccs_of(vertices, lambda v: adjacency.get(v, ())):
         if len(component) > 1:
             # prefer a body-occurring representative for readability
             rep = next((v for v in component if v in body_vars), component[0])
@@ -378,47 +383,6 @@ def minimize_scheme(scheme: QualScheme, lattice=None) -> QualScheme:
                 kept_vars.add(q)
     quantified = tuple(sorted(bound & kept_vars, key=lambda v: v.uid))
     return QualScheme(quantified, body, tuple(constraints))
-
-
-def _var_sccs(adjacency: dict[QualVar, set[QualVar]]) -> list[list[QualVar]]:
-    """Strongly connected components of the quantified <=-graph."""
-    index_of: dict[QualVar, int] = {}
-    low: dict[QualVar, int] = {}
-    on_stack: set[QualVar] = set()
-    stack: list[QualVar] = []
-    out: list[list[QualVar]] = []
-    counter = [0]
-
-    vertices = sorted(
-        set(adjacency) | {w for ws in adjacency.values() for w in ws},
-        key=lambda v: v.uid,
-    )
-
-    def visit(v: QualVar) -> None:
-        index_of[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(adjacency.get(v, ()), key=lambda x: x.uid):
-            if w not in index_of:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index_of[w])
-        if low[v] == index_of[v]:
-            component = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == v:
-                    break
-            out.append(sorted(component, key=lambda x: x.uid))
-
-    for v in vertices:
-        if v not in index_of:
-            visit(v)
-    return out
 
 
 def _derivable(

@@ -14,15 +14,12 @@ realises that bound with a three-stage pipeline:
 
 1. **Indexing** (:class:`IndexedSystem`) — constraints are categorised
    once into integer-indexed bound masks and a deduplicated
-   variable/variable edge set.  The indexed form is incremental:
-   :meth:`IndexedSystem.fork` shares an already-categorised base system
-   so iterative engines (``run_polyrec``) never re-categorise the shared
-   prefix.
+   variable/variable edge set.
 2. **Condensation** — strongly connected components of the
-   variable/variable graph are collapsed (iterative Tarjan — no
-   recursion, constraint graphs of deep programs are deep) into
-   representative nodes; all members of a ``<=``-cycle are equal in
-   every solution.
+   variable/variable graph are collapsed (:func:`repro.qual.flatcore._tarjan`,
+   the one iterative Tarjan in the package — no recursion, constraint
+   graphs of deep programs are deep) into representative nodes; all
+   members of a ``<=``-cycle are equal in every solution.
 3. **Propagation** — a single pass per direction over the condensation
    DAG in (reverse-)topological order, entirely on integer bitmasks,
    replaces the generic worklist fixpoint:
@@ -212,10 +209,7 @@ class IndexedSystem:
     Adding constraints folds constant bounds into per-variable bitmasks
     and deduplicates variable/variable edges (keeping the first
     constraint per edge as the provenance witness).  :meth:`solve` runs
-    the condensation pipeline over the indexed state; :meth:`fork`
-    copies the indexed state in O(size) dict copies so an iterative
-    engine can extend a shared base system each round without paying the
-    categorisation (isinstance tests, lattice joins) again.
+    the condensation pipeline over the indexed state.
     """
 
     def __init__(self, lattice: QualifierLattice):
@@ -339,27 +333,6 @@ class IndexedSystem:
         self._edges_before += edges_before
         self._ground_checks += ground_checks
         self._constant_bounds += constant_bounds
-
-    def fork(self) -> "IndexedSystem":
-        """A copy sharing no mutable state — O(size) dict copies, no
-        re-categorisation of constraint objects."""
-        twin = IndexedSystem.__new__(IndexedSystem)
-        twin.lattice = self.lattice
-        twin._var_index = dict(self._var_index)
-        twin._vars = list(self._vars)
-        twin._lower_mask = dict(self._lower_mask)
-        twin._upper_mask = dict(self._upper_mask)
-        twin._lower_origins = dict(self._lower_origins)
-        twin._upper_origins = {k: list(v) for k, v in self._upper_origins.items()}
-        twin._edges = dict(self._edges)
-        twin._edge_u = list(self._edge_u)
-        twin._edge_v = list(self._edge_v)
-        twin._edges_before = self._edges_before
-        twin._constraints = self._constraints
-        twin._ground_checks = self._ground_checks
-        twin._constant_bounds = self._constant_bounds
-        twin._ground_conflict = self._ground_conflict
-        return twin
 
     # ------------------------------------------------------------------
     # Solving

@@ -292,27 +292,24 @@ class Session:
         parse_before = self._parse_seconds
         start = time.perf_counter()
         # The paths go to the one source loader as given, so files come
-        # from the overlay-aware discovery that analyze uses too.
+        # from the overlay-aware discovery that analyze uses too.  Both
+        # modes take the CLI's shared path with the session's overlay and
+        # resilient parse memo threaded in.
+        shared = dict(
+            include_paths=tuple(include_paths),
+            top=top,
+            sources=self.overlay,
+            parse_unit=self.parse_unit_resilient,
+        )
         if whole:
-            # Same shared path the CLI takes, with the session's overlay,
-            # cache, and resilient parse memo threaded in.  The ownership
-            # cache is keyed by dependency-closure source digests, so a
-            # didChange on one unit re-links exactly its dependents.
+            # The ownership cache is keyed by dependency-closure source
+            # digests, so a didChange on one unit re-links exactly its
+            # dependents.
             files, suggestions, errors = suggest_paths_whole(
-                paths,
-                include_paths=tuple(include_paths),
-                top=top,
-                sources=self.overlay,
-                cache=self.cache,
-                parse_unit=self.parse_unit_resilient,
+                paths, cache=self.cache, **shared
             )
         else:
-            files, suggestions, errors = suggest_paths(
-                paths,
-                include_paths=tuple(include_paths),
-                top=top,
-                sources=self.overlay,
-            )
+            files, suggestions, errors = suggest_paths(paths, **shared)
         analyzed = time.perf_counter()
         if fmt == "json":
             rendered = render_suggestions_json(suggestions)

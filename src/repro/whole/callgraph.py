@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..cfront import cast as ast
 from ..cfront.cast import Call, FuncDef
-from ..cfront.ctypes import CArray, CFunc, CPointer, CType
+from ..cfront.ctypes import CArray, CFunc, CPointer, CType, pointer_depth
 from ..cfront.sema import (
     Program,
     address_taken_names,
@@ -145,18 +145,10 @@ def _init_idents(expr: ast.CExpr) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _pointer_depth(t: CType) -> int:
-    depth = 0
-    while isinstance(t, (CPointer, CArray)):
-        t = t.target if isinstance(t, CPointer) else t.element
-        depth += 1
-    return depth
-
-
 def _shape_of_func(ret: CType, param_types: tuple[CType, ...]) -> tuple:
     return (
-        _pointer_depth(ret),
-        tuple(_pointer_depth(p) for p in param_types),
+        pointer_depth(ret),
+        tuple(pointer_depth(p) for p in param_types),
     )
 
 

@@ -28,10 +28,9 @@ from ..constinfer.analysis import ConstInference
 from ..constinfer.cache import AnalysisCache
 from ..constinfer.engine import (
     InferenceRun,
-    StageTimings,
     _analyze_component,
     _create_shared_cells,
-    _solve,
+    _solved_run,
 )
 from ..constinfer.fdg import FunctionDependenceGraph
 from ..qual.lattice import QualifierLattice
@@ -268,23 +267,12 @@ def run_whole_poly(
         inference.analyze_global_initializers()
     inference._shared_band = None
 
-    congen_done = time.perf_counter()
-    solution = _solve(inference)
-    end = time.perf_counter()
-    timings = StageTimings(
-        congen_seconds=congen_done - start - generalize_seconds,
-        solve_seconds=end - congen_done,
-        generalize_seconds=generalize_seconds,
-        from_cache=misses == 0 and hits > 0,
-    )
-    run = InferenceRun(
+    run = _solved_run(
         "whole-poly",
-        solution,
-        inference.positions,
-        len(inference.constraints),
-        end - start,
         inference,
-        timings,
+        start,
+        generalize_seconds,
+        from_cache=misses == 0 and hits > 0,
     )
     return WholeProgramRun(
         linked=linked,
@@ -293,5 +281,5 @@ def run_whole_poly(
         schedule=[task.units for task in tasks],
         summary_hits=hits,
         summary_misses=misses,
-        link_seconds=end - start,
+        link_seconds=run.elapsed_seconds,
     )

@@ -1,6 +1,9 @@
 """Unit tests for the function dependence graph (Definition 4) and its
 SCC decomposition."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cfront.sema import Program
 from repro.constinfer.fdg import FunctionDependenceGraph
 
@@ -107,6 +110,46 @@ class TestSCCs:
         assert len(components) == n
         assert components[0] == ["f0"]
         assert components[-1] == [f"f{n-1}"]
+
+
+@st.composite
+def random_graphs(draw):
+    """Small directed graphs with self-loops, cycles and isolated nodes."""
+    names = [f"f{i}" for i in range(draw(st.integers(1, 12)))]
+    edges = {
+        name: set(draw(st.lists(st.sampled_from(names), max_size=4)))
+        for name in names
+    }
+    return FunctionDependenceGraph.from_edges(set(names), edges)
+
+
+def _reachable(g, start):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for succ in g.edges[frontier.pop()]:
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+def test_sccs_are_mutual_reachability_classes(g):
+    components = g.sccs()
+    flattened = [name for comp in components for name in comp]
+    assert sorted(flattened) == sorted(g.vertices)
+    reach = {v: _reachable(g, v) for v in g.vertices}
+    index = {name: i for i, comp in enumerate(components) for name in comp}
+    for comp in components:
+        assert comp == sorted(comp)
+        for v in comp:
+            assert {w for w in g.vertices if w in reach[v] and v in reach[w]} == set(comp)
+    # callees first: an edge stays in its component or points earlier
+    for v in g.vertices:
+        for w in g.edges[v]:
+            assert index[w] <= index[v]
 
 
 class TestWavefronts:

@@ -7,6 +7,7 @@ force over small lattices.
 """
 
 import itertools
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,30 @@ class TestCycleCollapse:
         out = minimize_scheme(scheme, lat)
         assert out.quantified == (a,)  # body var kept as representative
         assert not out.constraints
+
+
+class TestDeepGraphs:
+    # The cycle step's SCC search is iterative: a <=-graph deeper than
+    # the interpreter's recursion limit must not raise RecursionError.
+    def test_long_cycle_collapses(self):
+        lat = const_lattice()
+        vs = [var(100_000 + i) for i in range(3000)]
+        cycle = tuple(
+            QualConstraint(a, b) for a, b in zip(vs, vs[1:] + vs[:1])
+        )
+        out = minimize_scheme(QualScheme(tuple(vs), q_int(vs[0]), cycle), lat)
+        assert out.quantified == (vs[0],)
+        assert not out.constraints
+
+    def test_chain_past_recursion_limit(self):
+        lat = const_lattice()
+        n = sys.getrecursionlimit() + 200
+        vs = [var(200_000 + i) for i in range(n)]
+        chain = tuple(QualConstraint(a, b) for a, b in zip(vs, vs[1:]))
+        body = q_fun(vs[0], q_int(vs[-1]), q_int(vs[-1]))
+        out = minimize_scheme(QualScheme(tuple(vs), body, chain), lat)
+        assert out.quantified == (vs[0], vs[-1])
+        assert out.constraints == (QualConstraint(vs[0], vs[-1]),)
 
 
 class TestInteriorElimination:

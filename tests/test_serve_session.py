@@ -266,6 +266,35 @@ def test_edit_probe_seeds_no_unit_a_strict_parse_could_differ_from(
     assert calls == ["resilient", "strict"]
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_per_file_suggest_parses_through_the_memo(
+    session, corpus, capsys, monkeypatch, fmt
+):
+    # per-file suggest reads units from the resident resilient memo, as
+    # whole-program suggest does: an unchanged tree is not parsed again
+    from repro.checker.cli import main as cli_main
+
+    src = corpus / "src"
+    (src / "make.c").write_text(
+        "void *malloc(unsigned long size);\n"
+        "int fill(char *buf);\n"
+        "int make(void) { char *buf = malloc(16); return fill(buf); }\n"
+    )
+    params = {"paths": [str(src)], "format": fmt}
+    session.suggest(params)
+    before = session.stats({})["resident"]
+    calls = _count_parses(monkeypatch)
+    result = session.suggest(params)
+    after = session.stats({})["resident"]
+    assert calls == []
+    assert after["parsed_units"] == before["parsed_units"]
+    assert after["parse_memo_hits"] - before["parse_memo_hits"] == len(result["files"]) == 2
+    assert "make.c" in result["report"]
+
+    assert cli_main(["suggest", str(src), "--format", fmt]) == result["exit_code"]
+    assert capsys.readouterr().out == result["report"]
+
+
 def test_analyze_param_validation(session):
     for params in (
         {},

@@ -233,25 +233,12 @@ class TestCheckGround:
 
 
 class TestIndexedSystem:
-    def test_fork_is_independent(self, const_lat):
-        k = fresh_qual_var()
-        nc = const_lat.negate("const")
-        base = IndexedSystem(const_lat)
-        base.add_many([c(const_lat.top, k)])
-        twin = base.fork()
-        twin.add(c(k, nc))
-        with pytest.raises(UnsatisfiableError):
-            twin.solve()
-        # the base system is untouched by the fork's conflict
-        assert base.solve().least_of(k) == const_lat.top
-
-    def test_fork_reuses_categorisation(self, const_lat):
+    def test_add_extends_add_many(self, const_lat):
         ks = [fresh_qual_var() for _ in range(4)]
-        base = IndexedSystem(const_lat)
-        base.add_many([c(a, b) for a, b in zip(ks, ks[1:])])
-        twin = base.fork()
-        twin.add(c(const_lat.top, ks[0]))
-        sol = twin.solve()
+        system = IndexedSystem(const_lat)
+        system.add_many([c(a, b) for a, b in zip(ks, ks[1:])])
+        system.add(c(const_lat.top, ks[0]))
+        sol = system.solve()
         assert sol.least_of(ks[-1]) == const_lat.top
         assert sol.stats.constraints == 4
 
