@@ -28,6 +28,7 @@ from ..cfront.sema import Program
 from ..constinfer.cache import AnalysisCache, CacheStats
 from ..constinfer.engine import run_mono, run_poly
 from ..constinfer.results import BenchmarkRow, make_row
+from ..qual import flatcore
 from .generator import PositionMix, generate_benchmark
 
 
@@ -163,6 +164,7 @@ def _run_benchmark_task(
     Top-level so it pickles; returns the worker's cache counters
     alongside the row so the parent can aggregate hit/miss totals.
     """
+    flatcore.fast_available()  # the worker's kernel import, untimed
     cache = AnalysisCache(cache_dir) if cache_dir else None
     row = run_benchmark(spec, cache=cache)
     counters = (
@@ -204,6 +206,9 @@ def benchmark_rows(
                 cache_stats.merge(CacheStats(*counters))
         return [row for row, _counters in outcomes]
 
+    # Probe the solver kernel now: its lazy numpy/scipy import would
+    # otherwise land in the first row's timed solve.
+    flatcore.fast_available()
     cache = AnalysisCache(cache_dir) if cache_dir else None
     rows = [run_benchmark(spec, cache=cache) for spec in specs]
     if cache is not None and cache_stats is not None:

@@ -41,9 +41,11 @@ from .cast import (
     IfStmt,
     Index,
     InitList,
+    IntConst,
     LabeledStmt,
     Member,
     ReturnStmt,
+    StringConst,
     StructDef,
     SwitchStmt,
     TranslationUnit,
@@ -161,40 +163,6 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-def subexpressions(expr: CExpr) -> Iterator[CExpr]:
-    """Pre-order traversal of an expression."""
-    yield expr
-    match expr:
-        case Unary(operand=inner):
-            yield from subexpressions(inner)
-        case Binary(left=left, right=right) | Comma(left=left, right=right):
-            yield from subexpressions(left)
-            yield from subexpressions(right)
-        case Assignment(target=target, value=value):
-            yield from subexpressions(target)
-            yield from subexpressions(value)
-        case Conditional(cond=c, then=t, other=o):
-            yield from subexpressions(c)
-            yield from subexpressions(t)
-            yield from subexpressions(o)
-        case Call(func=f, args=args):
-            yield from subexpressions(f)
-            for arg in args:
-                yield from subexpressions(arg)
-        case Member(base=base):
-            yield from subexpressions(base)
-        case Index(base=base, index=index):
-            yield from subexpressions(base)
-            yield from subexpressions(index)
-        case Cast(operand=inner):
-            yield from subexpressions(inner)
-        case InitList(items=items):
-            for item in items:
-                yield from subexpressions(item)
-        case _:
-            return
-
-
 def statements(stmt: CStmt) -> Iterator[CStmt]:
     """Pre-order traversal of a statement tree."""
     yield stmt
@@ -245,22 +213,95 @@ def statement_expressions(stmt: CStmt) -> Iterator[CExpr]:
             return
 
 
-def expressions_of(stmt: CStmt) -> Iterator[CExpr]:
-    """All expressions syntactically contained in a statement tree,
-    including declaration initialisers."""
-    for s in statements(stmt):
-        for e in statement_expressions(s):
-            yield from subexpressions(e)
+def expressions_of(node: CStmt | CExpr) -> list[CExpr]:
+    """Every expression syntactically inside a statement tree (declaration
+    initialisers included) or an expression, in pre-order: each
+    statement's own expressions (:func:`statement_expressions`) before
+    its sub-statements, each expression before its operands.
+
+    One explicit-stack walk that returns a list: the function dependence
+    graph walks every body, and a generator chain per nesting level
+    costs a resumption per node per level."""
+    out: list[CExpr] = []
+    stack: list = [node]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        cls = type(node)
+        if isinstance(node, CExpr):
+            out.append(node)
+            # children pushed last-first, so they pop in source order
+            if cls is Ident or cls is IntConst or cls is StringConst:
+                continue
+            if cls is Call:
+                stack.extend(reversed(node.args))
+                push(node.func)
+            elif cls is Binary or cls is Comma:
+                push(node.right)
+                push(node.left)
+            elif cls is Unary or cls is Cast:
+                push(node.operand)
+            elif cls is Member:
+                push(node.base)
+            elif cls is Assignment:
+                push(node.value)
+                push(node.target)
+            elif cls is Index:
+                push(node.index)
+                push(node.base)
+            elif cls is Conditional:
+                push(node.other)
+                push(node.then)
+                push(node.cond)
+            elif cls is InitList:
+                stack.extend(reversed(node.items))
+        elif cls is Compound:
+            stack.extend(reversed(node.body))
+        elif cls is ExprStmt:
+            push(node.expr)
+        elif cls is DeclStmt:
+            stack.extend(
+                decl.init for decl in reversed(node.decls) if decl.init is not None
+            )
+        elif cls is ReturnStmt:
+            if node.value is not None:
+                push(node.value)
+        elif cls is IfStmt:
+            if node.other is not None:
+                push(node.other)
+            push(node.then)
+            push(node.cond)
+        elif cls is WhileStmt or cls is DoWhileStmt:
+            push(node.body)
+            push(node.cond)
+        elif cls is ForStmt:
+            push(node.body)
+            init = node.init
+            if isinstance(init, DeclStmt):
+                push(init)
+            if node.step is not None:
+                push(node.step)
+            if node.cond is not None:
+                push(node.cond)
+            if init is not None and not isinstance(init, DeclStmt):
+                push(init)
+        elif cls is SwitchStmt:
+            push(node.body)
+            push(node.value)
+        elif cls is CaseStmt:
+            push(node.stmt)
+            if node.value is not None:
+                push(node.value)
+        elif cls is LabeledStmt:
+            push(node.stmt)
+    return out
 
 
 def occurring_names(fdef: FuncDef) -> set[str]:
     """All identifier names occurring in a function body (Definition 4's
     'occurrence of the name g', so any mention counts, calls or not)."""
-    names: set[str] = set()
-    for expr in expressions_of(fdef.body):
-        if isinstance(expr, Ident):
-            names.add(expr.name)
-    return names
+    return {e.name for e in expressions_of(fdef.body) if type(e) is Ident}
 
 
 def direct_callees(fdef: FuncDef) -> set[str]:
@@ -282,15 +323,13 @@ def address_taken_names(fdef: FuncDef) -> set[str]:
     The AST is a tree, so node identity distinguishes the same name
     used both as callee and as a value.
     """
-    callee_idents: set[int] = set()
-    for expr in expressions_of(fdef.body):
-        if isinstance(expr, Call) and isinstance(expr.func, Ident):
-            callee_idents.add(id(expr.func))
-    names: set[str] = set()
-    for expr in expressions_of(fdef.body):
-        if isinstance(expr, Ident) and id(expr) not in callee_idents:
-            names.add(expr.name)
-    return names
+    exprs = expressions_of(fdef.body)
+    callee_idents = {
+        id(e.func) for e in exprs if isinstance(e, Call) and isinstance(e.func, Ident)
+    }
+    return {
+        e.name for e in exprs if isinstance(e, Ident) and id(e) not in callee_idents
+    }
 
 
 def indirect_call_sites(fdef: FuncDef, function_names: set[str]) -> list[Call]:

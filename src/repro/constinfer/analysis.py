@@ -270,9 +270,9 @@ class ConstInference:
         """Translate a declaration's C type, emitting the declared-const
         lower bounds."""
         translated = lvalue_qtype(ct)
-        origin = self.origin("declared const", line, col, file)
         for level in translated.levels:
             if level.declared_const:
+                origin = self.origin("declared const", line, col, file)
                 self.emit(self.const_low, level.var, origin)
         return translated
 

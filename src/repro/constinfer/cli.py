@@ -20,7 +20,9 @@ import argparse
 import sys
 import time
 
-from ..cfront.sema import Program
+from ..cfront.clexer import CLexError
+from ..cfront.cparser import CParseError
+from ..cfront.sema import Program, SemaError
 from .annotate import annotate_source, format_report, suggestions
 from .engine import ConstInferenceError, run_mono, run_poly, run_polyrec
 from .results import (
@@ -126,7 +128,11 @@ def main(argv: list[str] | None = None) -> int:
             print(format_report(result.run, args.limit))
         return 1 if linked.diagnostics else 0
 
-    program, compile_seconds, lines = _load(args.files)
+    try:
+        program, compile_seconds, lines = _load(args.files)
+    except (CLexError, CParseError, SemaError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.command == "table":
         row = analyze_program(

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from ..cfront.sema import Program
 from ..qual.lattice import QualifierLattice
-from ..qual.poly import generalize
-from ..qual.qtypes import QualVar, qual_vars
+from ..qual.poly import QualScheme, generalize
+from ..qual.qtypes import QualVar
 from ..qual.solver import (
     Classification,
     IndexedSystem,
@@ -233,43 +233,37 @@ def _analyze_component(
 ) -> float:
     """Analyse one SCC of the function dependence graph and generalise
     its members (Letv): emit every member's signature, then every body,
-    then quantify each signature over the variables created since
-    ``boundary``.  Returns the seconds spent generalising."""
+    then quantify the signatures together over the variables created
+    since ``boundary``.  Returns the seconds spent generalising."""
     functions = inference.program.functions
     mark = len(inference.constraints)
     for name in component:
         inference.signature_for(functions[name])
     for name in component:
         inference.analyze_function(functions[name])
-    local = inference.constraints[mark:]
     gen_start = time.perf_counter()
-    for name in component:
-        inference.schemes[name] = _generalize_component_member(
-            inference, name, local, boundary
+    inference.schemes.update(
+        _generalize_signatures(
+            inference, component, inference.constraints[mark:], boundary
         )
+    )
     return time.perf_counter() - gen_start
 
 
-def _generalize_component_member(
+def _generalize_signatures(
     inference: ConstInference,
-    name: str,
+    names: list[str],
     local: list,
     boundary: int,
-):
-    """Generalise one SCC member's signature over the variables created
-    while analysing the SCC (uid > ``boundary``); older variables are
-    free in the environment and stay monomorphic."""
-    sig = inference.signatures[name]
-    body = sig.fun_qtype
-    involved = qual_vars(body)
-    for c in local:
-        for q in (c.lhs, c.rhs):
-            if isinstance(q, QualVar):
-                involved.add(q)
-    env_vars = {v for v in involved if v.uid < boundary}
-    return generalize(
-        body, local, env_vars, lattice=inference.lattice, compress=True
+) -> dict[str, QualScheme]:
+    """Generalise the named signatures in one pass over ``local``:
+    variables created before ``boundary`` are free in the environment
+    and stay monomorphic."""
+    bodies = [inference.signatures[name].fun_qtype for name in names]
+    schemes = generalize(
+        bodies, local, boundary, lattice=inference.lattice, compress=True
     )
+    return dict(zip(names, schemes))
 
 
 @_collector_paused()
@@ -306,7 +300,7 @@ def run_polyrec(
     solve_seconds = generalize_seconds = 0.0
 
     previous_summary: dict[str, tuple] | None = None
-    assumptions: dict[str, "object"] = {}
+    assumptions: dict[str, QualScheme] = {}
 
     for _round in range(max_iterations):
         # roll back per-function state
@@ -332,11 +326,12 @@ def run_polyrec(
         previous_summary = summary
 
         # generalise fresh assumptions for the next round
-        local = inference.constraints[base_constraints:]
-        assumptions = {
-            name: _generalize_component_member(inference, name, local, boundary)
-            for name in program.functions
-        }
+        assumptions = _generalize_signatures(
+            inference,
+            list(program.functions),
+            inference.constraints[base_constraints:],
+            boundary,
+        )
         generalize_seconds += time.perf_counter() - gen_start
     else:
         solve_start = time.perf_counter()

@@ -77,7 +77,7 @@ from ..cfront.cast import (
     WhileStmt,
 )
 from ..cfront.ctypes import CArray, CPointer, CType
-from ..cfront.sema import subexpressions
+from ..cfront.sema import expressions_of
 from ..qual.lattice import LatticeElement, LatticeError, QualifierLattice
 from .language import (
     Assign,
@@ -285,7 +285,7 @@ def _is_null(e: CExpr) -> bool:
 
 def _idents_in(e: CExpr) -> list[str]:
     """Every identifier mentioned anywhere inside ``e`` (for escapes)."""
-    return [x.name for x in subexpressions(e) if isinstance(x, Ident)]
+    return [x.name for x in expressions_of(e) if isinstance(x, Ident)]
 
 
 class _Lowerer:

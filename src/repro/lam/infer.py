@@ -361,7 +361,7 @@ class _InferencePass:
                     for s in scope.values():
                         env_vars |= s.free_qual_vars()
                     local = self.constraints[mark:]
-                    scheme = generalize(bound_t, local, env_vars)
+                    [scheme] = generalize([bound_t], local, env_vars)
                     self.let_schemes[id(e)] = scheme
                 else:
                     scheme = monomorphic(bound_t)

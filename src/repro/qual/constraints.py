@@ -22,16 +22,21 @@ messages (e.g. "assignment to const l-value at foo.c:12").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .lattice import LatticeElement
 from .qtypes import QType, Qual, QualVar, format_qual, format_qtype
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Origin:
-    """Provenance of a constraint, for diagnostics."""
+    """Provenance of a constraint, for diagnostics.
+
+    A value: nothing assigns its fields after construction.  Slotted
+    and plainly built, not frozen, since every engine run builds one per
+    distinct source span; ``==`` and ``hash`` cover every field.
+    """
 
     reason: str
     filename: str | None = None
@@ -68,7 +73,7 @@ class Origin:
 UNKNOWN_ORIGIN = Origin("constraint")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SubtypeConstraint:
     """A structural constraint ``lhs <= rhs`` between qualified types."""
 

@@ -25,8 +25,10 @@ carrying only the constraints that actually mention its bound variables
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .constraints import QualConstraint
 from .flatcore import sccs_of
@@ -130,19 +132,26 @@ def monomorphic(body: QType) -> QualScheme:
 
 
 def generalize(
-    body: QType,
+    bodies: Sequence[QType],
     constraints: Sequence[QualConstraint],
-    env_vars: set[QualVar],
+    env: AbstractSet[QualVar] | int,
     lattice=None,
     compress: bool = False,
-) -> QualScheme:
-    """(Letv): quantify the qualifier variables of ``body`` not free in the
-    environment, carrying along the constraints that mention them.
+) -> list[QualScheme]:
+    """(Letv) for one binding group: quantify each body's qualifier
+    variables not free in the environment, carrying along the
+    constraints that mention them.  Returns one scheme per body.
 
-    The returned scheme's constraint set is first *closed*: starting from
-    the body's generalisable variables, any variable connected to them
+    ``env`` is the environment's variables: a set of them, or an int uid
+    watermark below which every variable is free (the engines' form:
+    everything created before the group belongs to the environment).
+
+    Each scheme's constraint set is first *closed*: starting from the
+    body's generalisable variables, any variable connected to them
     through a constraint is swept in (if it is not free in the
     environment), so instantiation reproduces the full local subsystem.
+    The group's constraints are indexed by variable once, so each body
+    costs the size of its own closure, not of the whole group.
 
     With ``compress=True`` the carried system is then shrunk by
     *transitive bound compression*: quantified variables that do not occur
@@ -154,106 +163,156 @@ def generalize(
     by-products that already hold can be dropped (unsatisfiable ground
     by-products are always kept, preserving error reporting).
     """
-    candidate = qual_vars(body) - env_vars
+    # Variables are keyed by uid (fresh_qual_var numbers them uniquely):
+    # an int hashes in C, a QualVar through a Python-level __hash__.
+    if isinstance(env, int):
+        boundary, env_uids = env, frozenset()
+    else:
+        boundary, env_uids = -math.inf, {v.uid for v in env}
 
-    # Close over constraint connectivity so chains like k1 <= k2 <= k3 are
-    # carried whole even when only k1 appears in the body.
-    adjacency: dict[QualVar, set[QualVar]] = {}
-    for c in constraints:
-        if isinstance(c.lhs, QualVar) and isinstance(c.rhs, QualVar):
-            adjacency.setdefault(c.lhs, set()).add(c.rhs)
-            adjacency.setdefault(c.rhs, set()).add(c.lhs)
-    frontier = list(candidate)
-    quantified = set(candidate)
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency.get(v, ()):
-            if w not in quantified and w not in env_vars:
-                quantified.add(w)
-                frontier.append(w)
+    # Which constraints mention each generalisable variable.
+    uses: dict[int, list[int]] = {}
+    for index, c in enumerate(constraints):
+        for q in (c.lhs, c.rhs):
+            if q.__class__ is QualVar:
+                uid = q.uid
+                if uid >= boundary and uid not in env_uids:
+                    if uid in uses:
+                        uses[uid].append(index)
+                    else:
+                        uses[uid] = [index]
 
-    carried = _dedupe(restrict_constraints(constraints, quantified))
-    if compress:
-        interior = quantified - qual_vars(body)
-        carried = _compress_interior(carried, interior, lattice)
-        # A variable eliminated by compression no longer needs a binder;
-        # one kept only as plumbing between survivors still does.
-        mentioned: set[QualVar] = set()
-        for c in carried:
-            if isinstance(c.lhs, QualVar):
-                mentioned.add(c.lhs)
-            if isinstance(c.rhs, QualVar):
-                mentioned.add(c.rhs)
-        quantified = (quantified - interior) | (quantified & mentioned)
-    ordered = tuple(sorted(quantified, key=lambda v: v.uid))
-    return QualScheme(ordered, body, tuple(carried))
+    schemes = []
+    for body in bodies:
+        body_vars = qual_vars(body)
+        quantified = {
+            v.uid: v
+            for v in body_vars
+            if v.uid >= boundary and v.uid not in env_uids
+        }
+        interface = set(quantified)
+        # Close over constraint connectivity so chains like k1 <= k2 <= k3
+        # are carried whole even when only k1 appears in the body; the
+        # constraints met on the way are exactly those to carry.
+        picked: set[int] = set()
+        frontier = list(quantified)
+        while frontier:
+            for index in uses.get(frontier.pop(), ()):
+                if index in picked:
+                    continue
+                picked.add(index)
+                c = constraints[index]
+                for w in (c.lhs, c.rhs):
+                    if w.__class__ is QualVar:
+                        uid = w.uid
+                        if uid in uses and uid not in quantified:
+                            quantified[uid] = w
+                            frontier.append(uid)
+        # Restrict and deduplicate in one pass, in the original order;
+        # variables are keyed by uid, so ``a == b`` is ``c.is_trivial``.
+        carried: dict[tuple, QualConstraint] = {}
+        for index in sorted(picked):
+            c = constraints[index]
+            a, b = c.lhs, c.rhs
+            if a.__class__ is QualVar:
+                a = a.uid
+            if b.__class__ is QualVar:
+                b = b.uid
+            if a != b and (a, b) not in carried:
+                carried[a, b] = c
+        if compress and len(quantified) > len(interface):
+            _compress_interior(carried, quantified.keys() - interface, lattice)
+            # A variable eliminated by compression no longer needs a
+            # binder; one kept only as plumbing between survivors still
+            # does.
+            mentioned = {k for key in carried for k in key}
+            for uid in quantified.keys() - interface - mentioned:
+                del quantified[uid]
+        ordered = tuple(quantified[uid] for uid in sorted(quantified))
+        schemes.append(QualScheme(ordered, body, tuple(carried.values())))
+    return schemes
 
 
 def _compress_interior(
-    constraints: list[QualConstraint],
-    interior: set[QualVar],
+    work: dict[tuple, QualConstraint],
+    interior: AbstractSet[int],
     lattice,
-) -> list[QualConstraint]:
-    """Project interior variables out of an atomic system by resolution.
+) -> None:
+    """Project the ``interior`` variables (uids) out of a deduplicated
+    atomic system by resolution, in place.  ``work`` maps each
+    constraint's ``(lhs, rhs)``, variables as uids, to the constraint.
 
     For each eliminated variable ``v`` with lower bounds ``L`` and upper
     bounds ``U``, the system minus ``v`` plus ``{l <= u | l in L, u in U}``
     has exactly the same solutions over the remaining variables (the
-    classic exactness of resolution for atomic subtyping).  Variables are
-    eliminated cheapest-fan first, and a variable whose ``|L| x |U|``
-    product would *grow* the system is kept — compression must never make
-    instantiation more expensive.
+    classic exactness of resolution for atomic subtyping).  The victim
+    is always the least ``(|L|·|U|, uid)``; a variable whose product
+    exceeds ``|L|+|U|`` would *grow* the system and is kept, since
+    compression must never make instantiation more expensive.  A
+    victim's resolvents go after the surviving constraints, which keep
+    their order.  Bounds are kept per variable in insertion-ordered dicts
+    updated in place, and a heap re-entered whenever a variable's bounds
+    change picks the victims.
     """
     from .lattice import LatticeElement
 
-    if not interior:
-        return constraints
+    lowers: dict[int, dict] = {v: {} for v in interior}
+    uppers: dict[int, dict] = {v: {} for v in interior}
+    for key, c in work.items():
+        a, b = key
+        if b in lowers:
+            lowers[b][key] = c
+        if a in uppers:
+            uppers[a][key] = c
 
-    work = list(constraints)
-    eliminated: set[QualVar] = set()
-    changed = True
-    while changed:
-        changed = False
-        lowers: dict[QualVar, list[QualConstraint]] = {}
-        uppers: dict[QualVar, list[QualConstraint]] = {}
-        for c in work:
-            if isinstance(c.rhs, QualVar) and c.rhs in interior:
-                lowers.setdefault(c.rhs, []).append(c)
-            if isinstance(c.lhs, QualVar) and c.lhs in interior:
-                uppers.setdefault(c.lhs, []).append(c)
-        candidates = sorted(
-            (v for v in interior if v not in eliminated),
-            key=lambda v: (
-                len(lowers.get(v, ())) * len(uppers.get(v, ())),
-                v.uid,
-            ),
-        )
-        for victim in candidates:
-            lo = lowers.get(victim, [])
-            up = uppers.get(victim, [])
-            removed = len(lo) + len(up)
-            if len(lo) * len(up) > removed:
-                continue  # fan-out would grow the system; keep the variable
-            keep = [c for c in work if victim != c.lhs and victim != c.rhs]
-            for low in lo:
-                for high in up:
-                    if low.lhs == high.rhs:
-                        continue
-                    if (
-                        lattice is not None
-                        and isinstance(low.lhs, LatticeElement)
-                        and isinstance(high.rhs, LatticeElement)
-                        and lattice.leq(low.lhs, high.rhs)
-                    ):
-                        continue  # ground and already true: no information
-                    # blame the upper-bound half: that is the constraint a
-                    # violation of the composed bound would trip
-                    keep.append(QualConstraint(low.lhs, high.rhs, high.origin))
-            work = _dedupe(keep)
-            eliminated.add(victim)
-            changed = True
-            break
-    return work
+    heap = [(len(lowers[v]) * len(uppers[v]), v) for v in interior]
+    heapq.heapify(heap)
+    touched: set[int] = set()
+    while heap:
+        fan, victim = heapq.heappop(heap)
+        if victim not in lowers:
+            continue  # already eliminated
+        lo = lowers[victim]
+        up = uppers[victim]
+        if fan != len(lo) * len(up):
+            continue  # stale: a fresher entry is queued
+        if fan > len(lo) + len(up):
+            continue  # fan-out would grow the system; re-queued on change
+        del lowers[victim], uppers[victim]
+        touched.clear()
+        for key in lo:
+            del work[key]
+            if key[0] in uppers:
+                del uppers[key[0]][key]
+                touched.add(key[0])
+        for key in up:
+            del work[key]
+            if key[1] in lowers:
+                del lowers[key[1]][key]
+                touched.add(key[1])
+        for (a, _), low in lo.items():
+            for (_, b), high in up.items():
+                key = (a, b)
+                if a == b or key in work:
+                    continue
+                if (
+                    lattice is not None
+                    and isinstance(low.lhs, LatticeElement)
+                    and isinstance(high.rhs, LatticeElement)
+                    and lattice.leq(low.lhs, high.rhs)
+                ):
+                    continue  # ground and already true: no information
+                # blame the upper-bound half: that is the constraint a
+                # violation of the composed bound would trip
+                c = work[key] = QualConstraint(low.lhs, high.rhs, high.origin)
+                if a in uppers:
+                    uppers[a][key] = c
+                    touched.add(a)
+                if b in lowers:
+                    lowers[b][key] = c
+                    touched.add(b)
+        for v in touched:
+            heapq.heappush(heap, (len(lowers[v]) * len(uppers[v]), v))
 
 
 def _dedupe(constraints: Iterable[QualConstraint]) -> list[QualConstraint]:

@@ -133,10 +133,10 @@ class WholeProgramCallGraph:
 
 def _init_idents(expr: ast.CExpr) -> list[str]:
     """Identifier names inside a global initializer expression."""
-    from ..cfront.sema import subexpressions
+    from ..cfront.sema import expressions_of
 
     return [
-        e.name for e in subexpressions(expr) if isinstance(e, ast.Ident)
+        e.name for e in expressions_of(expr) if isinstance(e, ast.Ident)
     ]
 
 

@@ -141,3 +141,52 @@ class TestSuiteParallelism:
         specs = scaling_specs((2, 1))
         rows = benchmark_rows(specs, jobs=2)
         assert [r.name for r in rows] == ["sweep-2", "sweep-1"]
+
+
+class TestKernelProbe:
+    """The solver kernel's lazy numpy/scipy import is paid before the
+    first timed row, not inside its solve."""
+
+    def _record(self, monkeypatch):
+        from repro.benchsuite import suite
+
+        events = []
+        monkeypatch.setattr(
+            suite.flatcore, "fast_available", lambda: events.append("probe")
+        )
+        monkeypatch.setattr(
+            suite,
+            "run_benchmark",
+            lambda spec, cache=None: events.append(spec.name),
+        )
+        return suite, events
+
+    def test_serial_rows_probe_first(self, monkeypatch):
+        suite, events = self._record(monkeypatch)
+        suite.benchmark_rows(PAPER_BENCHMARKS[:2])
+        assert events == ["probe", "woman-3.0a", "patch-2.5"]
+
+    def test_pool_task_probes_before_its_row(self, monkeypatch):
+        suite, events = self._record(monkeypatch)
+        suite._run_benchmark_task(PAPER_BENCHMARKS[0], None)
+        assert events == ["probe", "woman-3.0a"]
+
+    def test_importing_the_suite_does_not_probe(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, repro.benchsuite.suite; "
+            "print(any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        ).stdout
+        assert out.strip() == "False"

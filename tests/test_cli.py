@@ -1,9 +1,15 @@
 """Tests for the two command-line drivers (quals-lam, quals-const)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.constinfer.cli import main as const_main
 from repro.lam.cli import main as lam_main
+
+REALWORLD_ARGS = str(
+    Path(__file__).resolve().parent.parent / "examples" / "realworld" / "args.c"
+)
 
 
 @pytest.fixture
@@ -123,3 +129,18 @@ class TestConstCli:
 
     def test_no_files(self, capsys):
         assert const_main(["report"]) == 2
+
+    # args.c includes headers this CLI has no -I for, so it does not parse
+    @pytest.mark.parametrize("engine", ["mono", "poly", "polyrec"])
+    def test_report_front_end_error_is_one_line(self, engine, capsys):
+        assert const_main(["report", REALWORLD_ARGS, "--engine", engine]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected declaration specifiers")
+        assert captured.err.count("\n") == 1
+
+    def test_table_front_end_error_is_one_line(self, capsys):
+        assert const_main(["table", REALWORLD_ARGS]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

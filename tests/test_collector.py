@@ -76,10 +76,8 @@ def natural_length_program(name: str) -> Program:
 
 
 class TestNoCyclicGarbage:
-    # A small and a large generated program per engine.  run_polyrec
-    # generalises every function over the whole program's constraints
-    # each round, so its large case is patch-2.5 (294 functions, ~1.5 s)
-    # rather than ssh-1.2.26 (982 functions, ~16 s).
+    # A small and a large generated program per engine; run_polyrec also
+    # runs patch-2.5.
     @pytest.mark.parametrize(
         "name, engine",
         [
@@ -89,6 +87,7 @@ class TestNoCyclicGarbage:
             ("ssh-1.2.26", run_poly),
             ("woman-3.0a", run_polyrec),
             ("patch-2.5", run_polyrec),
+            ("ssh-1.2.26", run_polyrec),
         ],
     )
     def test_engine_run_leaves_constant_cycles(self, collector_state, name, engine):

@@ -1,5 +1,7 @@
 """Unit tests for the constraint language (Section 3.1)."""
 
+import pickle
+
 import pytest
 
 from repro.qual.constraints import (
@@ -25,6 +27,33 @@ class TestOrigin:
 
     def test_file_without_line(self):
         assert str(Origin("x", filename="a.c")) == "x at a.c"
+
+    @pytest.mark.parametrize(
+        "origin",
+        [
+            Origin("assignment"),
+            Origin("cast", filename="m.c", line=12, column=3),
+            Origin("declared const", filename="", line=None, column=7),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, origin, protocol):
+        loaded = pickle.loads(pickle.dumps(origin, protocol=protocol))
+        assert loaded == origin
+        assert repr(loaded) == repr(origin)
+        assert hash(loaded) == hash(origin)
+
+    def test_value_semantics_of_the_frozen_class(self):
+        # slotted, no per-instance __dict__, and the hash and repr a frozen
+        # dataclass over the same fields gives
+        o = Origin("cast", filename="m.c", line=12, column=3)
+        assert not hasattr(o, "__dict__")
+        assert hash(o) == hash(("cast", "m.c", 12, 3))
+        assert repr(o) == "Origin(reason='cast', filename='m.c', line=12, column=3)"
+        assert o == Origin("cast", "m.c", 12, 3)
+        assert o != Origin("cast", "m.c", 12, 4)
+        assert len({o, Origin("cast", "m.c", 12, 3)}) == 1
 
 
 class TestQualConstraint:

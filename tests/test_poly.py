@@ -27,13 +27,13 @@ class TestGeneralize:
     def test_quantifies_body_vars(self):
         k1, k2 = fresh_qual_var(), fresh_qual_var()
         body = q_fun(k1, q_int(k2), q_int(k2))
-        scheme = generalize(body, [], set())
+        [scheme] = generalize([body], [], set())
         assert set(scheme.quantified) == {k1, k2}
 
     def test_env_vars_not_quantified(self):
         k_env, k_local = fresh_qual_var(), fresh_qual_var()
         body = q_fun(k_local, q_int(k_env), q_int(k_local))
-        scheme = generalize(body, [], {k_env})
+        [scheme] = generalize([body], [], {k_env})
         assert k_env not in scheme.quantified
         assert k_local in scheme.quantified
 
@@ -44,14 +44,14 @@ class TestGeneralize:
             QualConstraint(k_body, k_mid),
             QualConstraint(k_mid, k_far),
         ]
-        scheme = generalize(body, constraints, set())
+        [scheme] = generalize([body], constraints, set())
         assert set(scheme.quantified) == {k_body, k_mid, k_far}
         assert len(scheme.constraints) == 2
 
     def test_sweep_stops_at_env_vars(self):
         k_body, k_env = fresh_qual_var(), fresh_qual_var()
         constraints = [QualConstraint(k_body, k_env)]
-        scheme = generalize(q_int(k_body), constraints, {k_env})
+        [scheme] = generalize([q_int(k_body)], constraints, {k_env})
         assert set(scheme.quantified) == {k_body}
         # the env-linking constraint is still carried (it mentions k_body)
         assert len(scheme.constraints) == 1
@@ -59,21 +59,21 @@ class TestGeneralize:
     def test_unrelated_constraints_not_carried(self):
         k_body, k_other1, k_other2 = (fresh_qual_var() for _ in range(3))
         constraints = [QualConstraint(k_other1, k_other2)]
-        scheme = generalize(q_int(k_body), constraints, {k_other1, k_other2})
+        [scheme] = generalize([q_int(k_body)], constraints, {k_other1, k_other2})
         assert scheme.constraints == ()
 
     def test_constant_bounds_carried(self):
         lat = const_lattice()
         k = fresh_qual_var()
         constraints = [QualConstraint(lat.atom("const"), k)]
-        scheme = generalize(q_int(k), constraints, set())
+        [scheme] = generalize([q_int(k)], constraints, set())
         assert len(scheme.constraints) == 1
 
 
 class TestInstantiate:
     def test_renames_quantified(self):
         k = fresh_qual_var()
-        scheme = generalize(q_int(k), [], set())
+        [scheme] = generalize([q_int(k)], [], set())
         body1, _ = scheme.instantiate()
         body2, _ = scheme.instantiate()
         assert body1.qual != k and body2.qual != k
@@ -84,7 +84,7 @@ class TestInstantiate:
         k1, k2 = fresh_qual_var(), fresh_qual_var()
         body = q_fun(k1, q_int(k2), q_int(k2))
         constraints = [QualConstraint(k2, k1), QualConstraint(lat.atom("const"), k2)]
-        scheme = generalize(body, constraints, set())
+        [scheme] = generalize([body], constraints, set())
         new_body, carried = scheme.instantiate()
         new_vars = qual_vars(new_body)
         assert k1 not in new_vars and k2 not in new_vars
@@ -99,7 +99,7 @@ class TestInstantiate:
     def test_free_vars_survive_instantiation(self):
         k_env, k_local = fresh_qual_var(), fresh_qual_var()
         constraints = [QualConstraint(k_local, k_env)]
-        scheme = generalize(q_int(k_local), constraints, {k_env})
+        [scheme] = generalize([q_int(k_local)], constraints, {k_env})
         _body, carried = scheme.instantiate()
         assert any(c.rhs == k_env for c in carried)
 
@@ -143,6 +143,6 @@ class TestHelpers:
 
     def test_str_rendering(self):
         k = fresh_qual_var()
-        scheme = generalize(q_int(k), [], set())
+        [scheme] = generalize([q_int(k)], [], set())
         assert "forall" in str(scheme)
         assert str(monomorphic(q_int(k))) == "int" or "k" in str(monomorphic(q_int(k)))

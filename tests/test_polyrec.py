@@ -1,6 +1,11 @@
 """Tests for polymorphic-recursive const inference (Section 4.3: the
 FDG-free alternative to let-style polymorphism)."""
 
+import dataclasses
+
+import pytest
+
+from repro.benchsuite.suite import PAPER_BENCHMARKS, generate_source
 from repro.cfront.sema import Program
 from repro.constinfer.engine import run_mono, run_poly, run_polyrec
 from repro.qual.solver import Classification
@@ -32,6 +37,20 @@ class TestAgreementWithLetPoly:
         poly = run_poly(program)
         polyrec = run_polyrec(program)
         assert verdicts(polyrec) == verdicts(poly)
+
+    @pytest.mark.parametrize("spec", PAPER_BENCHMARKS, ids=lambda s: s.name)
+    def test_verdicts_match_on_natural_length_programs(self, spec):
+        # polyrec generalises each round in one indexed pass, so every
+        # Table 2 program runs at natural length in tier-1
+        source = generate_source(dataclasses.replace(spec, lines=0))
+        program = Program.from_source(source, spec.name)
+        poly = run_poly(program)
+        polyrec = run_polyrec(program)
+        keyed = lambda run: {
+            (p.function, p.where, p.depth): v for p, v in run.classified_positions()
+        }
+        assert len(keyed(poly)) == len(poly.positions) == spec.total
+        assert keyed(polyrec) == keyed(poly)
 
     def test_beats_mono(self):
         program = Program.from_source(MIXED)

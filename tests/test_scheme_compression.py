@@ -23,11 +23,11 @@ class TestInteriorElimination:
         body = two_var_body(ka, kb)
         constraints = [c(ka, ki, "in"), c(ki, kb, "out")]
 
-        plain = generalize(body, constraints, set())
+        [plain] = generalize([body], constraints, set())
         assert ki in plain.quantified  # default keeps the chain whole
 
-        compressed = generalize(
-            body, constraints, set(), lattice=const_lat, compress=True
+        [compressed] = generalize(
+            [body], constraints, set(), lattice=const_lat, compress=True
         )
         assert ki not in compressed.quantified
         assert set(compressed.quantified) == {ka, kb}
@@ -42,9 +42,9 @@ class TestInteriorElimination:
             c(ki, kb, "to b"),
             c(kb, fig2_lat.negate("dynamic"), "upper"),
         ]
-        plain = generalize(body, constraints, set())
-        compressed = generalize(
-            body, constraints, set(), lattice=fig2_lat, compress=True
+        [plain] = generalize([body], constraints, set())
+        [compressed] = generalize(
+            [body], constraints, set(), lattice=fig2_lat, compress=True
         )
         sol_plain = solve(plain.constraints, fig2_lat, extra_vars=[ka, kb])
         sol_comp = solve(compressed.constraints, fig2_lat, extra_vars=[ka, kb])
@@ -58,9 +58,9 @@ class TestInteriorElimination:
         interior = [fresh_qual_var() for _ in range(4)]
         chain = [ka, *interior, kb]
         constraints = [c(a, b) for a, b in zip(chain, chain[1:])]
-        plain = generalize(body, constraints, set())
-        compressed = generalize(
-            body, constraints, set(), lattice=const_lat, compress=True
+        [plain] = generalize([body], constraints, set())
+        [compressed] = generalize(
+            [body], constraints, set(), lattice=const_lat, compress=True
         )
         assert len(compressed.constraints) < len(plain.constraints)
         _, carried = compressed.instantiate()
@@ -82,8 +82,8 @@ class TestFanGuard:
         body = nested_body(outer)  # every outer var is interface
         constraints = [c(v, ki) for v in outer[:2]]
         constraints += [c(ki, v) for v in outer[2:]]
-        compressed = generalize(
-            body, constraints, set(), lattice=const_lat, compress=True
+        [compressed] = generalize(
+            [body], constraints, set(), lattice=const_lat, compress=True
         )
         # 2 lowers x 3 uppers = 6 products > 5 removed constraints: the
         # elimination would grow the system, so the variable survives.
@@ -102,8 +102,8 @@ class TestGroundByProducts:
             c(ki, nc, "forced high"),
             c(ki, ka, "tether"),
         ]
-        compressed = generalize(
-            body, constraints, set(), lattice=const_lat, compress=True
+        [compressed] = generalize(
+            [body], constraints, set(), lattice=const_lat, compress=True
         )
         _, carried = compressed.instantiate()
         assert not satisfiable(carried, const_lat)
@@ -117,8 +117,8 @@ class TestGroundByProducts:
             c(ki, const_lat.top, "high"),
             c(ki, ka, "tether"),
         ]
-        compressed = generalize(
-            body, constraints, set(), lattice=const_lat, compress=True
+        [compressed] = generalize(
+            [body], constraints, set(), lattice=const_lat, compress=True
         )
         assert not any(
             isinstance(cc.lhs, type(const_lat.bottom))
@@ -137,14 +137,14 @@ class TestEnvVarsStayFree:
         # with no env restriction both kenv and ki are quantified interior
         # variables with no lower bounds: eliminating them is sound and
         # leaves nothing to carry
-        compressed = generalize(
-            body, constraints, set(), lattice=const_lat, compress=True,
+        [compressed] = generalize(
+            [body], constraints, set(), lattice=const_lat, compress=True,
         )
         assert compressed.constraints == ()
         assert set(compressed.quantified) == {ka}
 
-        restricted = generalize(
-            body, constraints, {kenv}, lattice=const_lat, compress=True
+        [restricted] = generalize(
+            [body], constraints, {kenv}, lattice=const_lat, compress=True
         )
         assert kenv not in restricted.quantified
         flat = [(cc.lhs, cc.rhs) for cc in restricted.constraints]

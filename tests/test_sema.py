@@ -5,7 +5,6 @@ from repro.cfront.sema import (
     expressions_of,
     occurring_names,
     statements,
-    subexpressions,
 )
 
 
