@@ -75,8 +75,10 @@ from .clexer import (
     ParseDiagnostic,
     parse_char_constant,
     parse_int_constant,
+    parse_string_literal,
     tokenize_c,
 )
+from .cpp import preprocess
 from .ctypes import (
     CArray,
     CBase,
@@ -85,7 +87,7 @@ from .ctypes import (
     CPointer,
     CStruct,
     CType,
-    add_qual,
+    decay,
     with_quals,
 )
 
@@ -127,6 +129,26 @@ _BINARY_LEVELS: tuple[frozenset[str], ...] = (
 )
 _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
+#: Each declaration-specifier keyword's role: one lookup per keyword.
+_SPECIFIER_ROLE = {
+    **dict.fromkeys(_STORAGE_KEYWORDS, "storage"),
+    **dict.fromkeys(_QUALIFIER_KEYWORDS, "qualifier"),
+    **dict.fromkeys(_TYPE_SPEC_KEYWORDS, "arithmetic"),
+    "struct": "struct", "union": "struct", "enum": "enum",
+}
+
+# Token kinds bound once: on Python 3.11 ``CTokenKind.IDENT`` goes
+# through ``EnumType.__getattr__``, over ten times a global load, and
+# every token pays at least one kind test (DESIGN.md, C front end).
+_IDENT = CTokenKind.IDENT
+_KEYWORD = CTokenKind.KEYWORD
+_INT_CONST = CTokenKind.INT_CONST
+_FLOAT_CONST = CTokenKind.FLOAT_CONST
+_CHAR_CONST = CTokenKind.CHAR_CONST
+_STRING = CTokenKind.STRING
+_PUNCT = CTokenKind.PUNCT
+_EOF = CTokenKind.EOF
+
 
 class _CParser:
     def __init__(
@@ -158,34 +180,38 @@ class _CParser:
 
     def advance(self) -> CToken:
         tok = self.tokens[self.pos]
-        if tok.kind is not CTokenKind.EOF:
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
+    # Only punctuator tokens spell punctuation, so the text decides; a
+    # matched punctuator is never EOF, so ``pos`` steps without a test.
     def at_punct(self, text: str, ahead: int = 0) -> bool:
-        # Only punctuator tokens spell punctuation, so the text decides.
         return self.tokens[self.pos + ahead].text == text
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind is CTokenKind.KEYWORD and tok.text in words
+        tok = self.tokens[self.pos]
+        return tok.kind is _KEYWORD and tok.text in words
 
     def accept_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.advance()
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def expect_punct(self, text: str) -> CToken:
-        if not self.at_punct(text):
-            raise CParseError(f"expected {text!r}", self.peek(), expected=text)
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise CParseError(f"expected {text!r}", tok, expected=text)
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> CToken:
-        tok = self.peek()
-        if tok.kind is not CTokenKind.IDENT:
+        tok = self.tokens[self.pos]
+        if tok.kind is not _IDENT:
             raise CParseError("expected identifier", tok, expected="identifier")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def _file_of(self, tok: CToken) -> str:
         return tok.file or self.filename
@@ -220,9 +246,9 @@ class _CParser:
         moved = False
         while True:
             tok = self.peek()
-            if tok.kind is CTokenKind.EOF:
+            if tok.kind is _EOF:
                 return "<eof>"
-            if tok.kind is CTokenKind.PUNCT:
+            if tok.kind is _PUNCT:
                 if tok.text in ("(", "[", "{"):
                     depth += 1
                 elif tok.text in (")", "]"):
@@ -242,7 +268,7 @@ class _CParser:
             elif (
                 moved
                 and depth == 0
-                and tok.kind is CTokenKind.KEYWORD
+                and tok.kind is _KEYWORD
                 and (tok.text in _STORAGE_KEYWORDS or tok.text in _TYPE_SPEC_KEYWORDS)
             ):
                 return tok.text
@@ -255,9 +281,9 @@ class _CParser:
         depth = 0
         while True:
             tok = self.peek()
-            if tok.kind is CTokenKind.EOF:
+            if tok.kind is _EOF:
                 return "<eof>"
-            if tok.kind is CTokenKind.PUNCT:
+            if tok.kind is _PUNCT:
                 if tok.text == "{":
                     depth += 1
                 elif tok.text == "}":
@@ -271,14 +297,14 @@ class _CParser:
 
     # -- type recognition -----------------------------------------------
     def at_type_start(self, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        if tok.kind is CTokenKind.KEYWORD:
+        tok = self.tokens[self.pos + ahead]
+        if tok.kind is _KEYWORD:
             return tok.text in _TYPE_SPEC_KEYWORDS or tok.text in _QUALIFIER_KEYWORDS
-        return tok.kind is CTokenKind.IDENT and tok.text in self.typedefs
+        return tok.kind is _IDENT and tok.text in self.typedefs
 
     def at_declaration_start(self) -> bool:
-        tok = self.peek()
-        if tok.kind is CTokenKind.KEYWORD and tok.text in _STORAGE_KEYWORDS:
+        tok = self.tokens[self.pos]
+        if tok.kind is _KEYWORD and tok.text in _STORAGE_KEYWORDS:
             return True
         return self.at_type_start()
 
@@ -297,40 +323,38 @@ class _CParser:
         kind_words: list[str] = []
         base: Optional[CType] = None
 
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind is CTokenKind.KEYWORD and tok.text in _STORAGE_KEYWORDS:
-                self.advance()
-                if tok.text != "inline":
-                    storage = tok.text
-                continue
-            if tok.kind is CTokenKind.KEYWORD and tok.text in _QUALIFIER_KEYWORDS:
-                self.advance()
-                quals.add(tok.text)
-                continue
-            if tok.kind is CTokenKind.KEYWORD and tok.text in (
-                "void", "char", "short", "int", "long", "float", "double",
-                "signed", "unsigned",
-            ):
-                self.advance()
-                kind_words.append(tok.text)
-                continue
-            if tok.kind is CTokenKind.KEYWORD and tok.text in ("struct", "union"):
-                base = self.parse_struct_specifier(tok.text == "union")
-                continue
-            if tok.kind is CTokenKind.KEYWORD and tok.text == "enum":
-                base = self.parse_enum_specifier()
-                continue
-            if (
-                tok.kind is CTokenKind.IDENT
-                and tok.text in self.typedefs
+            tok = tokens[self.pos]
+            text = tok.text
+            if tok.kind is _KEYWORD:
+                role = _SPECIFIER_ROLE.get(text)
+                if role is None:
+                    break
+                if role == "arithmetic":
+                    self.pos += 1
+                    kind_words.append(text)
+                elif role == "qualifier":
+                    self.pos += 1
+                    quals.add(text)
+                elif role == "storage":
+                    self.pos += 1
+                    if text != "inline":
+                        storage = text
+                elif role == "struct":
+                    base = self.parse_struct_specifier(text == "union")
+                else:
+                    base = self.parse_enum_specifier()
+            elif (
+                tok.kind is _IDENT
+                and text in self.typedefs
                 and base is None
                 and not kind_words
             ):
-                self.advance()
-                base = self.typedefs[tok.text]
-                continue
-            break
+                self.pos += 1
+                base = self.typedefs[text]
+            else:
+                break
 
         if base is None:
             if kind_words:
@@ -347,7 +371,7 @@ class _CParser:
     def parse_struct_specifier(self, is_union: bool) -> CType:
         kw = self.advance()  # struct / union
         tag: Optional[str] = None
-        if self.peek().kind is CTokenKind.IDENT:
+        if self.peek().kind is _IDENT:
             tag = self.advance().text
         if self.at_punct("{"):
             if tag is None:
@@ -381,7 +405,7 @@ class _CParser:
     def parse_enum_specifier(self) -> CType:
         kw = self.advance()  # enum
         tag: Optional[str] = None
-        if self.peek().kind is CTokenKind.IDENT:
+        if self.peek().kind is _IDENT:
             tag = self.advance().text
         if self.at_punct("{"):
             if tag is None:
@@ -414,14 +438,15 @@ class _CParser:
         two-phase technique: build a "type transformer" while descending,
         apply it inside-out.
         """
-        line = self.peek().line
-        col = self.peek().column
-        decl_file = self._file_of(self.peek())
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        line, col = tok.line, tok.column
+        decl_file = self._file_of(tok)
         # Pointer prefix: each * may carry qualifiers that attach to the
         # pointer level itself (e.g. ``int * const p``).
         pointer_quals: list[frozenset[str]] = []
-        while self.at_punct("*"):
-            self.advance()
+        while tokens[self.pos].text == "*":
+            self.pos += 1
             quals: set[str] = set()
             while self.at_keyword("const", "volatile"):
                 quals.add(self.advance().text)
@@ -430,13 +455,14 @@ class _CParser:
         name: Optional[str] = None
         inner_transform = None
 
-        if self.peek().kind is CTokenKind.IDENT:
-            name_tok = self.advance()
-            name = name_tok.text
-            line, col = name_tok.line, name_tok.column
-            decl_file = self._file_of(name_tok)
-        elif self.at_punct("(") and self._paren_is_declarator(abstract):
-            self.advance()
+        tok = tokens[self.pos]
+        if tok.kind is _IDENT:
+            self.pos += 1
+            name = tok.text
+            line, col = tok.line, tok.column
+            decl_file = self._file_of(tok)
+        elif tok.text == "(" and self._paren_is_declarator(abstract):
+            self.pos += 1
             # Parse the inner declarator with a placeholder base; we apply
             # the outer suffixes first, then the inner transformations.
             inner_name, placeholder_type, line, col = self.parse_declarator(
@@ -446,23 +472,24 @@ class _CParser:
             self.expect_punct(")")
             name = inner_name
             inner_transform = placeholder_type
-        elif not abstract and not self.at_punct("(") and not self.at_punct("["):
-            raise CParseError("expected declarator", self.peek())
+        elif not abstract and tok.text != "(" and tok.text != "[":
+            raise CParseError("expected declarator", tok)
 
         # Suffixes: arrays and function parameter lists (left to right).
         suffixes: list[tuple] = []
         while True:
-            if self.at_punct("["):
-                self.advance()
+            text = tokens[self.pos].text
+            if text == "[":
+                self.pos += 1
                 size: Optional[int] = None
-                if not self.at_punct("]"):
+                if tokens[self.pos].text != "]":
                     size_expr = self.parse_conditional()
                     if isinstance(size_expr, IntConst):
                         size = size_expr.value
                 self.expect_punct("]")
                 suffixes.append(("array", size))
-            elif self.at_punct("("):
-                self.advance()
+            elif text == "(":
+                self.pos += 1
                 params, varargs = self.parse_parameter_list()
                 self.expect_punct(")")
                 suffixes.append(("func", params, varargs))
@@ -495,9 +522,9 @@ class _CParser:
         """Disambiguate ``(`` after a base type: grouped declarator vs
         function parameter list (for abstract declarators)."""
         nxt = self.peek(1)
-        if nxt.kind is CTokenKind.PUNCT and nxt.text in ("*", "("):
+        if nxt.kind is _PUNCT and nxt.text in ("*", "("):
             return True
-        if nxt.kind is CTokenKind.IDENT and nxt.text not in self.typedefs:
+        if nxt.kind is _IDENT and nxt.text not in self.typedefs:
             return True
         if not abstract:
             return True
@@ -511,7 +538,7 @@ class _CParser:
         # (void) means no parameters
         if (
             self.at_keyword("void")
-            and self.peek(1).kind is CTokenKind.PUNCT
+            and self.peek(1).kind is _PUNCT
             and self.peek(1).text == ")"
         ):
             self.advance()
@@ -523,9 +550,7 @@ class _CParser:
                 break
             base, _storage = self.parse_decl_specifiers()
             name, full_type, line, col = self.parse_declarator(base, abstract=True)
-            from .ctypes import decay as _decay
-
-            params.append(ParamDecl(name, _decay(full_type), line, col, self._last_file))
+            params.append(ParamDecl(name, decay(full_type), line, col, self._last_file))
             if not self.accept_punct(","):
                 break
         return params, varargs
@@ -537,7 +562,7 @@ class _CParser:
 
     # -- external declarations --------------------------------------------
     def parse_translation_unit(self) -> TranslationUnit:
-        while self.peek().kind is not CTokenKind.EOF:
+        while self.peek().kind is not _EOF:
             if not self.recover:
                 self.parse_external_declaration()
                 continue
@@ -547,7 +572,7 @@ class _CParser:
             except (CParseError, CLexError, ValueError) as exc:
                 at = exc.token if isinstance(exc, CParseError) else self.peek()
                 sync = self._sync_top_level()
-                if self.pos == start and self.peek().kind is not CTokenKind.EOF:
+                if self.pos == start and self.peek().kind is not _EOF:
                     self.advance()  # progress guarantee
                 self._record(exc, sync, at)
         return TranslationUnit(self.items, self.filename)
@@ -642,7 +667,7 @@ class _CParser:
             if not self.recover:
                 body.append(self.parse_statement())
                 continue
-            if self.peek().kind is CTokenKind.EOF:
+            if self.peek().kind is _EOF:
                 self.diagnostics.append(
                     ParseDiagnostic(
                         file=self._file_of(brace),
@@ -665,7 +690,7 @@ class _CParser:
                 if (
                     self.pos == start
                     and not self.at_punct("}")
-                    and self.peek().kind is not CTokenKind.EOF
+                    and self.peek().kind is not _EOF
                 ):
                     self.advance()  # progress guarantee
                 self._record(exc, sync, at)
@@ -700,15 +725,15 @@ class _CParser:
         return DeclStmt(tuple(decls), line=end.line, col=end.column)
 
     def parse_statement(self) -> CStmt:
-        tok = self.peek()
-        if self.at_punct("{"):
+        tok = self.tokens[self.pos]
+        if tok.text == "{":
             return self.parse_compound()
-        if self.at_punct(";"):
-            self.advance()
+        if tok.text == ";":
+            self.pos += 1
             return EmptyStmt(line=tok.line, col=tok.column)
         if self.at_declaration_start():
             return self.parse_local_declaration()
-        if tok.kind is CTokenKind.KEYWORD:
+        if tok.kind is _KEYWORD:
             match tok.text:
                 case "if":
                     self.advance()
@@ -795,8 +820,8 @@ class _CParser:
                     return CaseStmt(None, self.parse_statement(), line=tok.line, col=tok.column)
         # Label?
         if (
-            tok.kind is CTokenKind.IDENT
-            and self.peek(1).kind is CTokenKind.PUNCT
+            tok.kind is _IDENT
+            and self.peek(1).kind is _PUNCT
             and self.peek(1).text == ":"
         ):
             self.advance()
@@ -807,94 +832,145 @@ class _CParser:
         return ExprStmt(expr, line=tok.line, col=tok.column)
 
     # -- expressions ----------------------------------------------------------
+    # Every operand is parsed by parse_assignment_expr -> parse_binary ->
+    # parse_unary -> parse_postfix: ``?:`` is folded into the assignment
+    # level, casts into the unary level and primaries into the postfix
+    # level, so a leaf costs four calls, not eight.
     def parse_expression(self) -> CExpr:
         expr = self.parse_assignment_expr()
-        while self.at_punct(","):
-            op = self.advance()
+        tokens = self.tokens
+        while tokens[self.pos].text == ",":
+            op = tokens[self.pos]
+            self.pos += 1
             expr = Comma(
                 expr, self.parse_assignment_expr(), line=op.line, col=op.column
             )
         return expr
 
     def parse_assignment_expr(self) -> CExpr:
-        left = self.parse_conditional()
-        tok = self.peek()
-        if tok.kind is CTokenKind.PUNCT and tok.text in _ASSIGN_OPS:
-            self.advance()
+        left = self.parse_binary(0)
+        tok = self.tokens[self.pos]
+        if tok.text == "?":
+            left = self._conditional_rest(left)
+            tok = self.tokens[self.pos]
+        # only punctuators spell operators, so the text decides
+        if tok.text in _ASSIGN_OPS:
+            self.pos += 1
             right = self.parse_assignment_expr()
             return Assignment(tok.text, left, right, line=tok.line, col=tok.column)
         return left
 
     def parse_conditional(self) -> CExpr:
+        """A conditional expression: what case labels, array sizes,
+        bit-field widths and enumerator values take."""
         cond = self.parse_binary(0)
-        if self.at_punct("?"):
-            op = self.advance()
-            then = self.parse_expression()
-            self.expect_punct(":")
-            other = self.parse_conditional()
-            return Conditional(cond, then, other, line=op.line, col=op.column)
+        if self.tokens[self.pos].text == "?":
+            return self._conditional_rest(cond)
         return cond
+
+    def _conditional_rest(self, cond: CExpr) -> CExpr:
+        op = self.tokens[self.pos]
+        self.pos += 1
+        then = self.parse_expression()
+        self.expect_punct(":")
+        other = self.parse_conditional()
+        return Conditional(cond, then, other, line=op.line, col=op.column)
 
     def parse_binary(self, min_level: int) -> CExpr:
         """Precedence climbing over :data:`_BINARY_LEVEL`: fold in every
         operator binding at least as tight as ``min_level``; the right
         operand only takes tighter ones, so equal levels associate left."""
-        left = self.parse_cast_expr()
+        left = self.parse_unary()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             # only punctuators spell operators, so the text decides
             level = _BINARY_LEVEL.get(tok.text, -1)
             if level < min_level:
                 return left
-            self.advance()
+            self.pos += 1
             right = self.parse_binary(level + 1)
             left = Binary(tok.text, left, right, line=tok.line, col=tok.column)
 
-    def parse_cast_expr(self) -> CExpr:
-        if self.at_punct("(") and self.at_type_start(1):
-            paren = self.advance()
-            target = self.parse_type_name()
-            self.expect_punct(")")
-            # Compound literal `(type){...}` parsed as cast of init list.
-            if self.at_punct("{"):
-                operand = self.parse_initializer()
-            else:
-                operand = self.parse_cast_expr()
-            return Cast(target, operand, line=paren.line, col=paren.column)
-        return self.parse_unary()
-
-    def parse_unary(self) -> CExpr:
-        tok = self.peek()
-        if tok.kind is CTokenKind.PUNCT and tok.text in ("++", "--"):
-            self.advance()
-            return Unary(tok.text, self.parse_unary(), line=tok.line, col=tok.column)
-        if tok.kind is CTokenKind.PUNCT and tok.text in ("&", "*", "+", "-", "~", "!"):
-            self.advance()
-            return Unary(tok.text, self.parse_cast_expr(), line=tok.line, col=tok.column)
-        if tok.kind is CTokenKind.KEYWORD and tok.text == "sizeof":
-            self.advance()
-            if self.at_punct("(") and self.at_type_start(1):
-                self.advance()
+    def parse_unary(self, cast: bool = True) -> CExpr:
+        """Prefix operators, ``sizeof`` and casts (compound literals
+        included) over a postfix expression.  The operand of ``++``,
+        ``--`` and ``sizeof`` is parsed with ``cast=False``: C gives them
+        a unary expression, where ``(T)`` opens a parenthesised one."""
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is _PUNCT:
+            text = tok.text
+            if text in {"&", "*", "+", "-", "~", "!"}:
+                self.pos += 1
+                return Unary(text, self.parse_unary(), line=tok.line, col=tok.column)
+            if text == "++" or text == "--":
+                self.pos += 1
+                return Unary(text, self.parse_unary(False), line=tok.line, col=tok.column)
+            if cast and text == "(" and self.at_type_start(1):
+                self.pos += 1
+                target = self.parse_type_name()
+                self.expect_punct(")")
+                # Compound literal `(type){...}` parsed as cast of init list.
+                if self.tokens[self.pos].text == "{":
+                    operand = self.parse_initializer()
+                else:
+                    operand = self.parse_unary()
+                return Cast(target, operand, line=tok.line, col=tok.column)
+        elif kind is _KEYWORD and tok.text == "sizeof":
+            self.pos += 1
+            if self.tokens[self.pos].text == "(" and self.at_type_start(1):
+                self.pos += 1
                 target = self.parse_type_name()
                 self.expect_punct(")")
                 return SizeofType(target, line=tok.line, col=tok.column)
-            return Unary("sizeof", self.parse_unary(), line=tok.line, col=tok.column)
+            return Unary("sizeof", self.parse_unary(False), line=tok.line, col=tok.column)
         return self.parse_postfix()
 
     def parse_postfix(self) -> CExpr:
-        expr = self.parse_primary()
+        """A primary expression and the postfix operators after it."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok.kind
+        if kind is _IDENT:
+            self.pos += 1
+            expr = Ident(tok.text, line=tok.line, col=tok.column)
+        elif kind is _INT_CONST:
+            self.pos += 1
+            expr = IntConst(parse_int_constant(tok.text), line=tok.line, col=tok.column)
+        elif kind is _FLOAT_CONST:
+            self.pos += 1
+            expr = FloatConst(tok.text, line=tok.line, col=tok.column)
+        elif kind is _CHAR_CONST:
+            self.pos += 1
+            expr = CharConst(parse_char_constant(tok.text), line=tok.line, col=tok.column)
+        elif kind is _STRING:
+            # Adjacent string literals concatenate; escapes are decoded.
+            parts = []
+            literal = tok
+            while literal.kind is _STRING:
+                self.pos += 1
+                parts.append(parse_string_literal(literal.text[1:-1]))
+                literal = tokens[self.pos]
+            expr = StringConst("".join(parts), line=tok.line, col=tok.column)
+        elif tok.text == "(":
+            self.pos += 1
+            expr = self.parse_expression()
+            self.expect_punct(")")
+        else:
+            raise CParseError("expected an expression", tok)
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             text = tok.text
             if text == "[":
-                self.advance()
+                self.pos += 1
                 index = self.parse_expression()
                 self.expect_punct("]")
                 expr = Index(expr, index, line=tok.line, col=tok.column)
             elif text == "(":
-                self.advance()
+                self.pos += 1
                 args: list[CExpr] = []
-                if not self.at_punct(")"):
+                if tokens[self.pos].text != ")":
                     while True:
                         args.append(self.parse_assignment_expr())
                         if not self.accept_punct(","):
@@ -902,43 +978,14 @@ class _CParser:
                 self.expect_punct(")")
                 expr = Call(expr, tuple(args), line=tok.line, col=tok.column)
             elif text == "." or text == "->":
-                self.advance()
+                self.pos += 1
                 field_name = self.expect_ident().text
                 expr = Member(expr, field_name, text == "->", line=tok.line, col=tok.column)
             elif text == "++" or text == "--":
-                self.advance()
+                self.pos += 1
                 expr = Unary(text, expr, postfix=True, line=tok.line, col=tok.column)
             else:
                 return expr
-
-    def parse_primary(self) -> CExpr:
-        tok = self.peek()
-        if tok.kind is CTokenKind.IDENT:
-            self.advance()
-            return Ident(tok.text, line=tok.line, col=tok.column)
-        if tok.kind is CTokenKind.INT_CONST:
-            self.advance()
-            return IntConst(parse_int_constant(tok.text), line=tok.line, col=tok.column)
-        if tok.kind is CTokenKind.FLOAT_CONST:
-            self.advance()
-            return FloatConst(tok.text, line=tok.line, col=tok.column)
-        if tok.kind is CTokenKind.CHAR_CONST:
-            self.advance()
-            return CharConst(parse_char_constant(tok.text), line=tok.line, col=tok.column)
-        if tok.kind is CTokenKind.STRING:
-            from .clexer import parse_string_literal
-
-            # Adjacent string literals concatenate; escapes are decoded.
-            parts = []
-            while self.peek().kind is CTokenKind.STRING:
-                parts.append(parse_string_literal(self.advance().text[1:-1]))
-            return StringConst("".join(parts), line=tok.line, col=tok.column)
-        if self.at_punct("("):
-            self.advance()
-            expr = self.parse_expression()
-            self.expect_punct(")")
-            return expr
-        raise CParseError("expected an expression", tok)
 
 
 def _normalise_kind(words: list[str]) -> str:
@@ -1026,8 +1073,6 @@ def parse_c_resilient(
     diagnostics point at the original files — including ``#include``-d
     headers — via the preprocessor's line map.
     """
-    from .cpp import preprocess
-
     diagnostics: list[ParseDiagnostic] = []
     pre = preprocess(source, filename, include_paths=include_paths, loader=loader)
     diagnostics.extend(pre.diagnostics)
@@ -1042,16 +1087,12 @@ def parse_c_resilient(
                 return remap[line - 1]
             return filename, line
 
+        # Built directly: ``dataclasses.replace`` costs ~5x per token.
         new_tokens = []
         for tok in tokens:
             src_file, src_line = _remap_line(tok.line)
-            new_tokens.append(
-                dataclasses.replace(
-                    tok,
-                    line=src_line,
-                    file="" if src_file == filename else src_file,
-                )
-            )
+            file = "" if src_file == filename else src_file
+            new_tokens.append(CToken(tok.kind, tok.text, src_line, tok.column, file))
         tokens = new_tokens
         for idx in range(lex_from, len(diagnostics)):
             d = diagnostics[idx]

@@ -104,8 +104,6 @@ class Program:
             self.enums[item.tag] = item
             value = 0
             for name, expr in item.enumerators:
-                from .cast import IntConst
-
                 if isinstance(expr, IntConst):
                     value = expr.value
                 self.enum_constants[name] = value

@@ -82,6 +82,8 @@ from ..cfront.ctypes import (
     CPointer,
     CType,
     TranslatedType,
+    base_con,
+    fun_con,
     lvalue_qtype,
 )
 from ..cfront.sema import Program
@@ -177,8 +179,6 @@ class ConstInference:
         self.positions: list[ConstPosition] = []
         self.not_const: LatticeElement = self.lattice.negate("const")
         self.const_low: LatticeElement = self.lattice.atom("const")
-        from ..cfront.ctypes import base_con
-
         self._scalar_shape = QCon(base_con("int"))
         self._origin_cache: dict[tuple[str, int, int, str], Origin] = {}
         # File of the declaration being analysed; origins emitted while a
@@ -330,8 +330,6 @@ class ConstInference:
         col: int = 0,
         file: str = "",
     ) -> FunctionSig:
-        from ..cfront.ctypes import fun_con
-
         param_cells = [
             self.cell_for_type(
                 p.type, p.line or line, p.col or col, p.file or file

@@ -21,7 +21,7 @@ import sys
 import time
 
 from ..cfront.clexer import CLexError
-from ..cfront.cparser import CParseError
+from ..cfront.cparser import CParseError, parse_c
 from ..cfront.sema import Program, SemaError
 from .annotate import annotate_source, format_report, suggestions
 from .engine import ConstInferenceError, run_mono, run_poly, run_polyrec
@@ -35,6 +35,10 @@ from .results import (
 )
 
 
+class _InputError(Exception):
+    """A lex or parse error, prefixed with the path of its file."""
+
+
 def _load(paths: list[str]) -> tuple[Program, float, int]:
     sources = {}
     total_lines = 0
@@ -44,7 +48,13 @@ def _load(paths: list[str]) -> tuple[Program, float, int]:
         sources[path] = text
         total_lines += text.count("\n") + 1
     start = time.perf_counter()
-    program = Program.from_sources(sources)
+    units = []
+    for path, text in sources.items():
+        try:
+            units.append(parse_c(text, path))
+        except (CLexError, CParseError) as exc:
+            raise _InputError(f"{path}: {exc}") from exc
+    program = Program.from_units(units)
     return program, time.perf_counter() - start, total_lines
 
 
@@ -130,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         program, compile_seconds, lines = _load(args.files)
-    except (CLexError, CParseError, SemaError) as exc:
+    except (_InputError, SemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ..cfront.sema import Program
 from ..qual.lattice import QualifierLattice
 from ..qual.poly import QualScheme, generalize
-from ..qual.qtypes import QualVar
+from ..qual.qtypes import QualVar, fresh_qual_var, quals_of
 from ..qual.solver import (
     Classification,
     IndexedSystem,
@@ -36,6 +36,11 @@ from ..qual.solver import (
 )
 from .analysis import ConstInference, ConstPosition
 from .fdg import FunctionDependenceGraph
+
+
+# Bound once, as in ``Solution.classify``: the counts test every position.
+_MUST_NOT = Classification.MUST_NOT
+_EITHER = Classification.EITHER
 
 
 class ConstInferenceError(Exception):
@@ -106,21 +111,13 @@ class InferenceRun:
     def inferred_const_count(self) -> int:
         """Positions that must or may be const — the paper's (1) + (3),
         i.e. the Mono/Poly columns of Table 2."""
-        return sum(
-            1
-            for p in self.positions
-            if self.classify(p) is not Classification.MUST_NOT
-        )
+        return sum(1 for p in self.positions if self.classify(p) is not _MUST_NOT)
 
     def must_not_count(self) -> int:
-        return sum(
-            1 for p in self.positions if self.classify(p) is Classification.MUST_NOT
-        )
+        return sum(1 for p in self.positions if self.classify(p) is _MUST_NOT)
 
     def either_count(self) -> int:
-        return sum(
-            1 for p in self.positions if self.classify(p) is Classification.EITHER
-        )
+        return sum(1 for p in self.positions if self.classify(p) is _EITHER)
 
     def total_positions(self) -> int:
         return len(self.positions)
@@ -359,8 +356,6 @@ def _signature_summary(inference: ConstInference, solution: Solution):
     """Per function, the (least, greatest) bounds of every qualifier
     position in its signature, in deterministic structural order — the
     fixpoint-comparison key for :func:`run_polyrec`."""
-    from ..qual.qtypes import quals_of
-
     out: dict[str, tuple] = {}
     for name, sig in inference.signatures.items():
         bounds = []
@@ -413,8 +408,6 @@ def _create_shared_cells(inference: ConstInference) -> None:
 def _uid_boundary() -> int:
     """Current fresh-variable watermark: variables allocated after this
     call have strictly larger uids."""
-    from ..qual.qtypes import fresh_qual_var
-
     return fresh_qual_var("boundary").uid
 
 

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constraints import Origin, QualConstraint
-from .lattice import LatticeElement, QualifierLattice
+from .lattice import LatticeElement, Polarity, QualifierLattice
 from .qtypes import QualVar
 
 
@@ -116,6 +116,14 @@ class Classification(enum.Enum):
     MUST = "must"
     MUST_NOT = "must-not"
     EITHER = "either"
+
+
+# Bound once: on Python 3.11 an Enum member load goes through
+# ``EnumType.__getattr__``, and ``Solution.classify`` runs per position.
+_MUST = Classification.MUST
+_MUST_NOT = Classification.MUST_NOT
+_EITHER = Classification.EITHER
+_POSITIVE = Polarity.POSITIVE
 
 
 @dataclass(frozen=True)
@@ -179,17 +187,17 @@ class Solution:
         """
         q = self.lattice.qualifier(qualifier)
         lo, hi = self.least_of(var), self.greatest_of(var)
-        if q.positive:
+        if q.polarity is _POSITIVE:
             if lo.has(q):
-                return Classification.MUST
+                return _MUST
             if not hi.has(q):
-                return Classification.MUST_NOT
+                return _MUST_NOT
         else:
             if hi.has(q):
-                return Classification.MUST
+                return _MUST
             if not lo.has(q):
-                return Classification.MUST_NOT
-        return Classification.EITHER
+                return _MUST_NOT
+        return _EITHER
 
     def is_unconstrained(self, var: QualVar) -> bool:
         """Whether the variable ranges over the whole lattice."""

@@ -136,7 +136,9 @@ class TestConstCli:
         assert const_main(["report", REALWORLD_ARGS, "--engine", engine]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: expected declaration specifiers")
+        assert captured.err.startswith(
+            f"error: {REALWORLD_ARGS}: expected declaration specifiers"
+        )
         assert captured.err.count("\n") == 1
 
     def test_table_front_end_error_is_one_line(self, capsys):
@@ -144,3 +146,24 @@ class TestConstCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["report", "table", "annotate"])
+    def test_front_end_error_names_the_failing_file(
+        self, command, c_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int f(void) { return (int; }\n")
+        assert const_main([command, c_file, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bad}: expected ')' at 1:26 (found PUNCT ';')\n"
+        )
+
+    def test_lex_error_names_the_failing_file(self, c_file, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int x = 1 @ 2;\n")
+        assert const_main(["report", c_file, str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: unexpected character '@' at 1:11\n"
+        )

@@ -18,13 +18,21 @@ import pytest
 from repro.cfront.cast import (
     Assignment,
     Binary,
+    Call,
     Cast,
     Comma,
     Conditional,
     Ident,
+    Index,
+    InitList,
+    IntConst,
+    Member,
+    SizeofType,
+    StringConst,
     Unary,
 )
-from repro.cfront.cparser import parse_c
+from repro.cfront.cparser import CParseError, parse_c, parse_c_resilient
+from repro.cfront.ctypes import CBase, CPointer
 from repro.cfront.cpretty import _BINARY_PRECEDENCE
 
 OPS = sorted(_BINARY_PRECEDENCE)
@@ -47,6 +55,20 @@ def shape(expr):
             return (op, shape(target), shape(value))
         case Comma(left=left, right=right):
             return (",", shape(left), shape(right))
+        case IntConst(value=value):
+            return value
+        case StringConst(value=value):
+            return ("str", value)
+        case Index(base=base, index=index):
+            return ("[]", shape(base), shape(index))
+        case Call(func=func, args=args):
+            return ("call", shape(func), *map(shape, args))
+        case Member(base=base, field_name=field_name, arrow=arrow):
+            return ("->" if arrow else ".", shape(base), field_name)
+        case SizeofType():
+            return ("sizeof-type",)
+        case InitList(items=items):
+            return ("{}", *map(shape, items))
     raise AssertionError(f"unexpected node {expr!r}")
 
 
@@ -120,3 +142,84 @@ def test_comma_is_loosest_and_associates_left():
 def test_parentheses_override_precedence():
     assert parse_expr("(a + b) * c") == ("*", ("+", "a", "b"), "c")
     assert parse_expr("a - (b - c)") == ("-", "a", ("-", "b", "c"))
+
+
+# -- the unary/postfix level ---------------------------------------------
+# One routine parses prefix operators, casts and sizeof, one parses
+# primaries and postfix operators; these pin the trees at their seams.
+
+PRELUDE = "typedef int T;\nstruct s { int f; };\nint x, *p, f(int);\n"
+
+
+def typed_expr(text: str):
+    unit = parse_c(f"{PRELUDE}int g(void) {{ return {text}; }}\n")
+    (ret,) = unit.items[-1].body.body
+    return ret.value
+
+
+def test_prefix_operators_take_a_cast():
+    for op in ("-", "!", "~", "+", "&"):
+        assert shape(typed_expr(f"{op}(T)x")) == (op, ("cast", "x"))
+    expr = typed_expr("*(T *)p")
+    assert shape(expr) == ("*", ("cast", "p"))
+    assert expr.operand.target_type == CPointer(CBase("int"))
+
+
+def test_increment_and_sizeof_do_not_take_a_cast():
+    for op in ("++", "--"):
+        with pytest.raises(
+            CParseError, match=r"expected ';' at 4:27 \(found IDENT 'x'\)"
+        ):
+            typed_expr(f"{op}(T)x")
+    assert shape(typed_expr("sizeof (T)")) == ("sizeof-type",)
+    assert typed_expr("sizeof (T)").target_type == CBase("int")
+    assert shape(typed_expr("sizeof (x)")) == ("sizeof", "x")
+    assert shape(typed_expr("sizeof -(T)x")) == ("sizeof", ("-", ("cast", "x")))
+    assert shape(typed_expr("++*p")) == ("++", ("*", "p"))
+
+
+def test_postfix_binds_tighter_than_a_cast():
+    assert shape(typed_expr("(T)x[1]")) == ("cast", ("[]", "x", 1))
+    assert shape(typed_expr("(T)f(x)")) == ("cast", ("call", "f", "x"))
+    assert shape(typed_expr("(T)p->f")) == ("cast", ("->", "p", "f"))
+    assert shape(typed_expr("(T)x++")) == ("cast", ("post++", "x"))
+    assert shape(typed_expr("(T)(T)x")) == ("cast", ("cast", "x"))
+
+
+def test_compound_literals_strings_and_typedef_cast_targets():
+    expr = typed_expr("(T){1, 2}")
+    assert shape(expr) == ("cast", ("{}", 1, 2))
+    assert expr.target_type == CBase("int")
+    assert shape(typed_expr('"ab" "c\\n"')) == ("str", "abc\n")
+    assert shape(typed_expr('f("a" "b")')) == ("call", "f", ("str", "ab"))
+    assert typed_expr("(T)x").target_type == CBase("int")
+    # a typedef name in parentheses with no operand is an expression
+    assert shape(typed_expr("(x)")) == "x"
+
+
+@pytest.mark.parametrize(
+    "statement,expected,found,column",
+    [
+        ("return (int;", "')'", "PUNCT ';'", 14),
+        ("f(a,;", None, "PUNCT ';'", 7),
+        ("return a ? b;", "':'", "PUNCT ';'", 15),
+        ("x = (T)[1];", None, "PUNCT '['", 10),
+        ("return sizeof (T;", "')'", "PUNCT ';'", 19),
+    ],
+)
+def test_resilient_recovery_from_malformed_expressions(
+    statement, expected, found, column
+):
+    source = (
+        "typedef int T;\nint f(int a, int b);\n"
+        f"int g(int a, int b, int x) {{\n  {statement}\n  return 0;\n}}\n"
+    )
+    result = parse_c_resilient(source, "t.c")
+    (diag,) = result.diagnostics
+    assert (diag.line, diag.column, diag.sync) == (4, column, ";")
+    assert diag.expected == (expected and expected.strip("'"))
+    assert diag.found == found
+    # the statement after the bad one survives
+    assert len(result.unit.items[-1].body.body) == 1
+    with pytest.raises(CParseError, match=f"at 4:{column} "):
+        parse_c(source, "t.c")
