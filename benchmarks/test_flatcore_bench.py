@@ -1,14 +1,15 @@
-"""Microbenchmarks of the flat-array solver core: ``flat_solve`` on
+"""Microbenchmarks of the flat-array solver core: ``solve`` forced onto
 each kernel (constraint objects -> indexed edges and bound masks ->
-condensation and both propagation passes -> lazy solution) over the
-benchmark graph shapes."""
+condensation and both propagation passes -> mask-backed solution) over
+the benchmark graph shapes."""
 
 import pytest
 
 from test_solver_bench import chain_system, cyclic_system, fanout_system
 
-from repro.qual.flatcore import fast_available, flat_solve
+from repro.qual.flatcore import fast_available
 from repro.qual.qualifiers import const_lattice
+from repro.qual.solver import solve
 
 
 @pytest.mark.parametrize("kernel", ["stdlib", "fast"])
@@ -26,5 +27,5 @@ def test_bench_flat_kernel(benchmark, shape, kernel):
         "dense_scc": lambda: cyclic_system(lattice, 5_000),
     }[shape]
     variables, constraints = maker()
-    solution = benchmark(flat_solve, constraints, lattice, kernel=kernel)
+    solution = benchmark(solve, constraints, lattice, kernel=kernel)
     assert solution.least_of(variables[-1]).has("const")

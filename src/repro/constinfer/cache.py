@@ -30,11 +30,11 @@ Table 2 row reads: a pickle of one primitive row per
 variable's name and uid, and the least and greatest solution as lattice
 masks), the solve's :class:`~repro.qual.solver.SolverStats`, and the
 constraint count.  Masks are plain ints, so every lattice width uses
-the same entry.  A warm run rebuilds the positions and a plain
-:class:`~repro.qual.solver.Solution` over their variables; it never
-sees the constraint system.  A truncated, corrupt or wrong-shape entry
-is a miss exactly like a missing one — never an exception out of the
-cache layer.
+the same entry.  A warm run rebuilds the positions and the one
+:class:`~repro.qual.solver.Solution` class over their variables and
+stored masks; it never sees the constraint system.  A truncated,
+corrupt or wrong-shape entry is a miss exactly like a missing one —
+never an exception out of the cache layer.
 
 Every handle also fronts the directory with a small bounded LRU of
 decoded :meth:`~AnalysisCache.get`/:meth:`~AnalysisCache.get_bytes`
@@ -351,20 +351,27 @@ class AnalysisCache:
             ):
                 raise TypeError("not a constraints entry")
             positions = []
-            least = {}
-            greatest = {}
+            variables = []
+            least = []
+            greatest = []
+            bits = 0
             for function, where, depth, declared, line, name, uid, low, high in rows:
                 var = QualVar(name, uid)
                 positions.append(
                     ConstPosition(function, where, depth, var, declared, line)
                 )
-                least[var] = lat.from_mask(low)
-                greatest[var] = lat.from_mask(high)
+                variables.append(var)
+                least.append(low)
+                greatest.append(high)
+                bits |= low | high
+            if bits & ~lat._full_mask:
+                raise LatticeError(f"mask {bits:#x} has bits outside lattice {lat}")
         except _UNREADABLE_ENTRY:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return positions, Solution(lat, least, greatest, stats), constraint_count
+        solution = Solution(lat, variables, least, greatest, stats)
+        return positions, solution, constraint_count
 
     # -- pipeline-level helpers ----------------------------------------
     def cached_run(
@@ -385,10 +392,10 @@ class AnalysisCache:
         constraint count.  The run's ``inference.program`` can be handed
         to the next engine.
 
-        Warm path: the positions and a plain ``Solution`` over their
-        variables are rebuilt from the entry, so parse, constraint
-        generation and the solve are all skipped; the run has no
-        ``inference`` and its
+        Warm path: the positions and a ``Solution`` over their
+        variables' stored masks are rebuilt from the entry, so parse,
+        constraint generation and the solve are all skipped; the run has
+        no ``inference`` and its
         :class:`~repro.constinfer.engine.StageTimings` is flagged
         ``from_cache``.
         """
@@ -426,16 +433,10 @@ class AnalysisCache:
                 p.line,
                 p.var.name,
                 p.var.uid,
-                solution.least_of(p.var).mask,
-                solution.greatest_of(p.var).mask,
+                *solution.masks_of(p.var),
             )
             for p in run.positions
         ]
         self.put(key, (rows, solution.stats, run.constraint_count))
-        timings = StageTimings(
-            parse_seconds=parse_seconds,
-            congen_seconds=run.timings.congen_seconds if run.timings else 0.0,
-            solve_seconds=run.timings.solve_seconds if run.timings else 0.0,
-            generalize_seconds=run.timings.generalize_seconds if run.timings else 0.0,
-        )
+        timings = replace(run.timings, parse_seconds=parse_seconds)
         return replace(run, timings=timings)

@@ -65,15 +65,6 @@ class StageTimings:
     generalize_seconds: float = 0.0
     from_cache: bool = False
 
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.parse_seconds
-            + self.congen_seconds
-            + self.solve_seconds
-            + self.generalize_seconds
-        )
-
     def summary(self) -> str:
         cached = " [cached]" if self.from_cache else ""
         return (

@@ -1,12 +1,15 @@
-"""Flat-array solver core.
+"""Flat-array solver core: arrays in, masks out.
 
-Every solve of :mod:`repro.qual.solver` runs here.  An
-:class:`~repro.qual.solver.IndexedSystem` has already categorised the
-atomic constraints into a deduplicated edge list (parallel lists of
-dense variable indices) and sparse per-variable bound masks
-(:mod:`repro.qual.lattice`'s integer kernel).  This module condenses
-that graph and runs the two topological propagation passes over flat
-integer arrays.  Two kernels implement the same pipeline:
+Every solve of :mod:`repro.qual.solver` runs here.  The solver's
+``IndexedSystem`` has already categorised the atomic constraints into a
+deduplicated edge list (parallel lists of dense variable indices) and
+sparse per-variable bound masks (:mod:`repro.qual.lattice`'s integer
+kernel).  :func:`solve_masks` condenses that graph and runs the two
+topological propagation passes over flat integer arrays, returning one
+least and one greatest mask per variable as plain-int lists plus the
+pipeline-shape counters (:class:`KernelResult`).  This module knows
+nothing of variables, constraints or solutions.  Two kernels implement
+the same pipeline:
 
 * a **stdlib kernel** (:func:`_kernel_slow`): iterative Tarjan and
   topological loops over plain lists.  It takes every system below
@@ -31,35 +34,28 @@ integer arrays.  Two kernels implement the same pipeline:
   imported, so a run that only solves small systems never loads them.
 
 Both kernels compute the identical unique fixpoints as
-:func:`repro.qual.solver.solve_reference` — and identical
-:class:`~repro.qual.solver.SolverStats` to each other
-(``propagation_steps`` counts one relaxation per deduplicated DAG edge
+:func:`repro.qual.solver.solve_reference` — and identical counters to
+each other (``steps`` counts one relaxation per deduplicated DAG edge
 whose propagating component's final mask is non-extremal); the
 testkit's ``flatcore`` oracle and the hypothesis properties in
 ``tests/test_flatcore.py`` enforce that.
+
+The module is also the package's one SCC routine (:func:`sccs_of`).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .constraints import QualConstraint
-from .lattice import LatticeElement, QualifierLattice
-from .qtypes import QualVar
-from .solver import (
-    IndexedSystem,
-    Solution,
-    SolverStats,
-    UnsatisfiableError,
-)
+from .lattice import QualifierLattice
 
 __all__ = [
-    "FlatSolution",
+    "KernelResult",
     "fast_available",
     "fits_flat",
-    "flat_solve",
-    "solve_indexed",
+    "sccs_of",
+    "solve_masks",
 ]
 
 #: Above this many distinct initial component masks per direction the
@@ -138,8 +134,9 @@ def fits_flat(lattice: QualifierLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _KernelResult:
-    """Per-variable extreme masks plus pipeline-shape counters."""
+class KernelResult:
+    """Per-variable extreme masks (plain-int lists) plus pipeline-shape
+    counters."""
 
     __slots__ = (
         "low",
@@ -153,17 +150,57 @@ class _KernelResult:
     )
 
     def __init__(self, low, high, sccs, collapsed, largest, dag_edges, steps, violation):
-        self.low = low
-        self.high = high
+        self.low: list[int] = low
+        self.high: list[int] = high
         self.sccs = sccs
         self.collapsed = collapsed
         self.largest = largest
         self.dag_edges = dag_edges
         self.steps = steps
         #: Lowest variable index whose forced lower bound exceeds its
-        #: forced upper bound, or -1 when the system is satisfiable —
-        #: the same variable IndexedSystem.solve blames first.
+        #: forced upper bound, or -1 when the system is satisfiable.
         self.violation = violation
+
+
+def solve_masks(
+    n: int,
+    edge_u: Sequence[int],
+    edge_v: Sequence[int],
+    lower: Mapping[int, int],
+    upper: Mapping[int, int],
+    lattice: QualifierLattice,
+    kernel: str | None = None,
+) -> KernelResult:
+    """Condense and propagate one indexed system.
+
+    ``n`` variables are numbered ``0..n-1``; ``edge_u[k] <= edge_v[k]``
+    are the deduplicated variable/variable edges; ``lower``/``upper``
+    map a variable to its folded constant bound mask.  The kernel is
+    chosen by size (see :func:`_pick_fast`; ``kernel`` forces one and is
+    for tests only).
+    """
+    result = None
+    fast = _pick_fast(n + len(edge_u), lattice, kernel)
+    if fast is not None:
+        np = fast[0]
+        result = _kernel_fast(
+            n,
+            np.array(edge_u, dtype=np.int64),
+            np.array(edge_v, dtype=np.int64),
+            np.fromiter(lower.keys(), dtype=np.int64, count=len(lower)),
+            np.fromiter(lower.values(), dtype=np.int64, count=len(lower)),
+            np.fromiter(upper.keys(), dtype=np.int64, count=len(upper)),
+            np.fromiter(upper.values(), dtype=np.int64, count=len(upper)),
+            lattice,
+        )
+    if result is None:
+        succ = None
+        if edge_u:
+            succ = [[] for _ in range(n)]
+            for u, v in zip(edge_u, edge_v):
+                succ[u].append(v)
+        result = _kernel_slow(n, succ, lower.items(), upper.items(), lattice)
+    return result
 
 
 def _dag_propagate_fast(ncomp, psrc, pdst, init, identity, pos, neg, joinlike):
@@ -325,7 +362,9 @@ def _kernel_fast(
     sizes = np.bincount(labels, minlength=ncomp) if n else np.zeros(0, dtype=np.int64)
     collapsed = int((sizes > 1).sum()) if n else 0
     largest = int(sizes.max()) if n else 0
-    return _KernelResult(low, high, ncomp, collapsed, largest, dag_edges, steps, violation)
+    return KernelResult(
+        low.tolist(), high.tolist(), ncomp, collapsed, largest, dag_edges, steps, violation
+    )
 
 
 def _kernel_slow(
@@ -334,7 +373,7 @@ def _kernel_slow(
     low_items: Iterable[tuple[int, int]],
     up_items: Iterable[tuple[int, int]],
     lattice: QualifierLattice,
-) -> _KernelResult:
+) -> KernelResult:
     """Pure-stdlib kernel: iterative Tarjan over successor lists (``succ``,
     ``None`` when there are no edges), then one topological propagation
     pass per direction over the deduplicated condensation DAG."""
@@ -424,7 +463,7 @@ def _kernel_slow(
         high = [comp_high[c] for c in comp]
     collapsed = sum(1 for s in sizes if s > 1)
     largest = max(sizes, default=0)
-    return _KernelResult(low, high, ncomp, collapsed, largest, dag_edges, steps, violation)
+    return KernelResult(low, high, ncomp, collapsed, largest, dag_edges, steps, violation)
 
 
 def sccs_of(nodes: Sequence, successors: Callable[[object], Iterable]) -> list[list]:
@@ -510,151 +549,3 @@ def _tarjan(n: int, succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
     return comp, sizes
 
 
-# ---------------------------------------------------------------------------
-# Solutions
-# ---------------------------------------------------------------------------
-
-
-class FlatSolution(Solution):
-    """A :class:`~repro.qual.solver.Solution` over the kernel's mask arrays.
-
-    ``least``/``greatest`` materialise their variable-keyed dicts only
-    when actually read (differential fingerprints, visualisation);
-    :meth:`least_of`/:meth:`greatest_of`/``classify`` answer directly
-    from the mask arrays through the indexed system's variable index.
-    """
-
-    def __init__(self, lattice, vars_, var_index, low, high, stats):
-        # Deliberately not calling the dataclass __init__: least and
-        # greatest are lazy properties here.
-        self.lattice = lattice
-        self.stats = stats
-        self._vars = vars_
-        #: Dense index of a variable, or ``None`` (the dict's own ``get``:
-        #: solution lookups are hot).
-        self._index_of = var_index.get
-        self._low = low
-        self._high = high
-        self._least_memo: dict | None = None
-        self._greatest_memo: dict | None = None
-
-    @property
-    def least(self):  # type: ignore[override]
-        if self._least_memo is None:
-            from_mask = self.lattice.from_mask
-            self._least_memo = {
-                var: from_mask(int(mask)) for var, mask in zip(self._vars, self._low)
-            }
-        return self._least_memo
-
-    @property
-    def greatest(self):  # type: ignore[override]
-        if self._greatest_memo is None:
-            from_mask = self.lattice.from_mask
-            self._greatest_memo = {
-                var: from_mask(int(mask)) for var, mask in zip(self._vars, self._high)
-            }
-        return self._greatest_memo
-
-    def least_of(self, var: QualVar) -> LatticeElement:
-        i = self._index_of(var)
-        if i is None or i >= len(self._low):
-            return self.lattice.bottom
-        return self.lattice.from_mask(int(self._low[i]))
-
-    def greatest_of(self, var: QualVar) -> LatticeElement:
-        i = self._index_of(var)
-        if i is None or i >= len(self._high):
-            return self.lattice.top
-        return self.lattice.from_mask(int(self._high[i]))
-
-
-# ---------------------------------------------------------------------------
-# Solver entry points
-# ---------------------------------------------------------------------------
-
-
-def flat_solve(
-    constraints: Iterable[QualConstraint],
-    lattice: QualifierLattice,
-    extra_vars: Iterable[QualVar] = (),
-    kernel: str | None = None,
-) -> Solution:
-    """:func:`repro.qual.solver.solve` with the kernel chosen explicitly.
-
-    ``kernel`` is ``"fast"`` (numpy/scipy; ``RuntimeError`` when they are
-    unavailable), ``"stdlib"``, or ``None`` for the production choice by
-    system size.  The testkit's ``flatcore`` oracle pits the two kernels
-    against each other through this entry point.
-    """
-    system = IndexedSystem(lattice)
-    system.add_many(constraints)
-    return solve_indexed(system, extra_vars, kernel)
-
-
-def solve_indexed(
-    system: IndexedSystem,
-    extra_vars: Iterable[QualVar] = (),
-    kernel: str | None = None,
-) -> Solution:
-    """The body of :meth:`IndexedSystem.solve` (see :func:`_pick_fast`
-    for ``kernel``).
-
-    Returns a lazy :class:`FlatSolution` over the live variable index;
-    on unsatisfiability raises the indexed system's provenance-tracking
-    blame for the first violated variable.
-    """
-    conflict = system._ground_conflict
-    if conflict is not None:
-        assert isinstance(conflict.lhs, LatticeElement)
-        assert isinstance(conflict.rhs, LatticeElement)
-        raise UnsatisfiableError(conflict, conflict.lhs, conflict.rhs)
-    for var in extra_vars:
-        system.add_var(var)
-
-    lattice = system.lattice
-    n = len(system._vars)
-    m = len(system._edge_u)
-    lower = system._lower_mask
-    upper = system._upper_mask
-    result = None
-    fast = _pick_fast(n + m, lattice, kernel)
-    if fast is not None:
-        np = fast[0]
-        eu = np.array(system._edge_u, dtype=np.int64)
-        ev = np.array(system._edge_v, dtype=np.int64)
-        low_idx = np.fromiter(lower.keys(), dtype=np.int64, count=len(lower))
-        low_masks = np.fromiter(lower.values(), dtype=np.int64, count=len(lower))
-        up_idx = np.fromiter(upper.keys(), dtype=np.int64, count=len(upper))
-        up_masks = np.fromiter(upper.values(), dtype=np.int64, count=len(upper))
-        result = _kernel_fast(n, eu, ev, low_idx, low_masks, up_idx, up_masks, lattice)
-    if result is None:
-        succ = None
-        if m:
-            succ = [[] for _ in range(n)]
-            for u, v in zip(system._edge_u, system._edge_v):
-                succ[u].append(v)
-        result = _kernel_slow(n, succ, lower.items(), upper.items(), lattice)
-
-    if result.violation >= 0:
-        i = result.violation
-        raise system._unsat_error(
-            system._vars[i], int(result.low[i]), int(result.high[i])
-        )
-
-    stats = SolverStats(
-        variables=n,
-        constraints=system._constraints,
-        ground_checks=system._ground_checks,
-        constant_bounds=system._constant_bounds,
-        edges_before=system._edges_before,
-        edges_after=m,
-        sccs=result.sccs,
-        collapsed_sccs=result.collapsed,
-        largest_scc=result.largest,
-        dag_edges=result.dag_edges,
-        propagation_steps=result.steps,
-    )
-    return FlatSolution(
-        lattice, system._vars, system._var_index, result.low, result.high, stats
-    )

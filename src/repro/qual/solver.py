@@ -31,10 +31,14 @@ realises that bound with a three-stage pipeline:
      *upper* bounds backward, sinks first.
 
 Stages 2 and 3 run over flat integer arrays in
-:mod:`repro.qual.flatcore`: a pure-stdlib kernel for small systems (and
-for lattices too wide for int64 masks), and a numpy/scipy kernel,
-imported on first use, for systems of at least ``_FLAT_FAST_MIN``
-variables + edges.
+:mod:`repro.qual.flatcore`, which takes the indexed edges and bound
+masks and returns one least and one greatest mask per variable: a
+pure-stdlib kernel for small systems (and for lattices too wide for
+int64 masks), and a numpy/scipy kernel, imported on first use, for
+systems of at least ``_FLAT_FAST_MIN`` variables + edges.
+:class:`Solution`, the one solve result, keeps those two mask lists
+with the variable table; every producer — a live solve, a warm cache
+entry, :func:`solve_reference` — builds it from masks.
 
 The system is satisfiable iff the least solution satisfies every upper
 bound; equivalently iff ``least(kappa) <= greatest(kappa)`` for all
@@ -47,6 +51,9 @@ inference needs them to classify each position (Section 4.4):
 * otherwise it **may** carry q — these are the "could be either"
   positions that the const experiment counts, and exactly the positions
   a polymorphic type leaves as unconstrained variables.
+
+The lattice is a product of two-point chains, so each of these tests
+reads one bit of a mask (:meth:`Solution.classify`).
 
 Provenance: every deduplicated edge keeps the constraint that created
 it as a witness (including the intra-SCC edges of collapsed cycles), so
@@ -67,6 +74,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constraints import Origin, QualConstraint
+from .flatcore import solve_masks
 from .lattice import LatticeElement, Polarity, QualifierLattice
 from .qtypes import QualVar
 
@@ -160,22 +168,80 @@ class SolverStats:
         )
 
 
-@dataclass
 class Solution:
-    """Extreme solutions of an atomic constraint system."""
+    """Extreme solutions of an atomic constraint system.
 
-    lattice: QualifierLattice
-    least: dict[QualVar, LatticeElement]
-    greatest: dict[QualVar, LatticeElement]
-    stats: SolverStats | None = None
+    One least and one greatest lattice mask per entry of the variable
+    table ``variables`` (``index`` maps a variable to its position).
+    :meth:`classify` tests the qualifier's bit in the two masks;
+    :meth:`least_of`/:meth:`greatest_of` build a lattice element only
+    when asked, and ``least``/``greatest`` are variable-keyed dict views
+    built on first read.  A variable the solve never saw — including one
+    indexed into a live table after the solve — reads bottom/top.
+    """
+
+    __slots__ = (
+        "lattice",
+        "stats",
+        "_vars",
+        "_index",
+        "_low",
+        "_high",
+        "_least",
+        "_greatest",
+    )
+
+    def __init__(
+        self,
+        lattice: QualifierLattice,
+        variables: list[QualVar],
+        low: list[int],
+        high: list[int],
+        stats: SolverStats | None = None,
+        index: dict[QualVar, int] | None = None,
+    ):
+        self.lattice = lattice
+        self.stats = stats
+        self._vars = variables
+        self._index = (
+            index if index is not None else {v: i for i, v in enumerate(variables)}
+        )
+        self._low = low
+        self._high = high
+        self._least: dict[QualVar, LatticeElement] | None = None
+        self._greatest: dict[QualVar, LatticeElement] | None = None
+
+    @property
+    def least(self) -> dict[QualVar, LatticeElement]:
+        """Least solution of every solved variable."""
+        if self._least is None:
+            from_mask = self.lattice.from_mask
+            self._least = {v: from_mask(m) for v, m in zip(self._vars, self._low)}
+        return self._least
+
+    @property
+    def greatest(self) -> dict[QualVar, LatticeElement]:
+        """Greatest solution of every solved variable."""
+        if self._greatest is None:
+            from_mask = self.lattice.from_mask
+            self._greatest = {v: from_mask(m) for v, m in zip(self._vars, self._high)}
+        return self._greatest
+
+    def masks_of(self, var: QualVar) -> tuple[int, int]:
+        """The least and greatest solution of a variable as lattice masks
+        (bottom and top if unmentioned)."""
+        i = self._index.get(var)
+        if i is None or i >= len(self._low):
+            return self.lattice._neg_mask, self.lattice._pos_mask
+        return self._low[i], self._high[i]
 
     def least_of(self, var: QualVar) -> LatticeElement:
         """Least solution of a variable (bottom if unmentioned)."""
-        return self.least.get(var, self.lattice.bottom)
+        return self.lattice.from_mask(self.masks_of(var)[0])
 
     def greatest_of(self, var: QualVar) -> LatticeElement:
         """Greatest solution of a variable (top if unmentioned)."""
-        return self.greatest.get(var, self.lattice.top)
+        return self.lattice.from_mask(self.masks_of(var)[1])
 
     def classify(self, var: QualVar, qualifier: str) -> Classification:
         """Classify a variable with respect to one qualifier by name.
@@ -185,26 +251,26 @@ class Solution:
         a negative qualifier the roles of the extremes swap (a negative
         qualifier present moves the element *down* the lattice).
         """
-        q = self.lattice.qualifier(qualifier)
-        lo, hi = self.least_of(var), self.greatest_of(var)
+        lattice = self.lattice
+        q = lattice.qualifier(qualifier)
+        bit = lattice._bit[qualifier]
+        lo, hi = self.masks_of(var)
         if q.polarity is _POSITIVE:
-            if lo.has(q):
+            if lo & bit:
                 return _MUST
-            if not hi.has(q):
+            if not hi & bit:
                 return _MUST_NOT
         else:
-            if hi.has(q):
+            if hi & bit:
                 return _MUST
-            if not lo.has(q):
+            if not lo & bit:
                 return _MUST_NOT
         return _EITHER
 
     def is_unconstrained(self, var: QualVar) -> bool:
         """Whether the variable ranges over the whole lattice."""
-        return (
-            self.least_of(var) == self.lattice.bottom
-            and self.greatest_of(var) == self.lattice.top
-        )
+        lattice = self.lattice
+        return self.masks_of(var) == (lattice._neg_mask, lattice._pos_mask)
 
 
 def _as_element(q: QualVar | LatticeElement) -> LatticeElement | None:
@@ -251,10 +317,6 @@ class IndexedSystem:
             self._var_index[var] = i
             self._vars.append(var)
         return i
-
-    def add_var(self, var: QualVar) -> None:
-        """Ensure a variable appears in the solution even if unmentioned."""
-        self._index(var)
 
     def add(self, c: QualConstraint) -> None:
         """Categorise one atomic constraint into the indexed state."""
@@ -349,14 +411,57 @@ class IndexedSystem:
         self,
         extra_vars: Iterable[QualVar] = (),
         constraints: Iterable[QualConstraint] = (),
+        kernel: str | None = None,
     ) -> Solution:
-        """Categorise ``constraints`` into the system, then solve on the
-        flat-array kernels of :mod:`repro.qual.flatcore` (see module
-        docstring); indexing is timed as solver work, as in :func:`solve`."""
-        from .flatcore import solve_indexed
+        """Categorise ``constraints`` into the system, index
+        ``extra_vars``, then solve on the flat-array kernels of
+        :mod:`repro.qual.flatcore` (see module docstring); indexing is
+        timed as solver work, as in :func:`solve`.
 
+        Returns a :class:`Solution` over the live variable table; on
+        unsatisfiability raises the provenance-tracking blame for the
+        first violated variable.  ``kernel`` forces a flat-core kernel
+        (``"fast"`` or ``"stdlib"``) and is for tests only.
+        """
         self.add_many(constraints)
-        return solve_indexed(self, extra_vars)
+        conflict = self._ground_conflict
+        if conflict is not None:
+            assert isinstance(conflict.lhs, LatticeElement)
+            assert isinstance(conflict.rhs, LatticeElement)
+            raise UnsatisfiableError(conflict, conflict.lhs, conflict.rhs)
+        for var in extra_vars:
+            self._index(var)
+
+        n = len(self._vars)
+        result = solve_masks(
+            n,
+            self._edge_u,
+            self._edge_v,
+            self._lower_mask,
+            self._upper_mask,
+            self.lattice,
+            kernel,
+        )
+        if result.violation >= 0:
+            i = result.violation
+            raise self._unsat_error(self._vars[i], result.low[i], result.high[i])
+
+        stats = SolverStats(
+            variables=n,
+            constraints=self._constraints,
+            ground_checks=self._ground_checks,
+            constant_bounds=self._constant_bounds,
+            edges_before=self._edges_before,
+            edges_after=len(self._edge_u),
+            sccs=result.sccs,
+            collapsed_sccs=result.collapsed,
+            largest_scc=result.largest,
+            dag_edges=result.dag_edges,
+            propagation_steps=result.steps,
+        )
+        return Solution(
+            self.lattice, self._vars, result.low, result.high, stats, self._var_index
+        )
 
     # ------------------------------------------------------------------
     # Failure explanation (cold path)
@@ -406,6 +511,7 @@ def solve(
     constraints: Iterable[QualConstraint],
     lattice: QualifierLattice,
     extra_vars: Iterable[QualVar] = (),
+    kernel: str | None = None,
 ) -> Solution:
     """Solve an atomic constraint system over ``lattice``.
 
@@ -413,8 +519,10 @@ def solve(
     attached); raises :class:`UnsatisfiableError` if none exists.
     ``extra_vars`` names variables that should appear in the solution
     even if no constraint mentions them (they solve to [bottom, top]).
+    ``kernel`` forces a flat-core kernel (see :meth:`IndexedSystem.solve`;
+    tests only).
     """
-    return IndexedSystem(lattice).solve(extra_vars, constraints)
+    return IndexedSystem(lattice).solve(extra_vars, constraints, kernel)
 
 
 def _violated_upper(
@@ -683,7 +791,13 @@ def solve_reference(
             )
             raise UnsatisfiableError(witness, lo, hi, path)
 
-    return Solution(lattice, least, greatest)
+    order = list(variables)
+    return Solution(
+        lattice,
+        order,
+        [least[v].mask for v in order],
+        [greatest[v].mask for v in order],
+    )
 
 
 def satisfiable(
@@ -705,7 +819,7 @@ def check_ground(
     """Check a candidate assignment; return the first violated constraint.
 
     Used by property-based tests to validate that solver solutions really
-    satisfy the system, and by the checking (non-inference) pipeline.
+    satisfy the system.
     """
     def value(q: QualVar | LatticeElement) -> LatticeElement:
         if isinstance(q, LatticeElement):

@@ -53,6 +53,29 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _string_list(
+    params: dict[str, Any], name: str, needed_by: str | None = None
+) -> list[str]:
+    """Request parameter ``name`` as a list of strings (a lone string is
+    a one-element list).  With ``needed_by`` (the method's name) the
+    parameter is required and must be non-empty; otherwise it defaults
+    to ``[]``."""
+    value = params.get(name, None if needed_by else [])
+    if isinstance(value, str):
+        value = [value]
+    if (
+        not isinstance(value, list)
+        or (needed_by and not value)
+        or not all(isinstance(v, str) for v in value)
+    ):
+        if needed_by:
+            raise InvalidParams(
+                f"{needed_by} needs {name!r}: a non-empty list of strings"
+            )
+        raise InvalidParams(f"{name!r} must be a list of strings")
+    return value
+
+
 class Session:
     """All resident state of one serving process."""
 
@@ -149,13 +172,7 @@ class Session:
         """Run the shared one-shot analysis over the session's view of
         the tree (overlay over disk) and render it exactly as the CLI
         would print it."""
-        paths = params.get("paths")
-        if isinstance(paths, str):
-            paths = [paths]
-        if not isinstance(paths, list) or not paths or not all(
-            isinstance(p, str) for p in paths
-        ):
-            raise InvalidParams("analyze needs 'paths': a non-empty list of strings")
+        paths = _string_list(params, "paths", needed_by="analyze")
         fmt = params.get("format", "json")
         if fmt not in _FORMATS:
             raise InvalidParams(f"unknown format {fmt!r} (expected one of {_FORMATS})")
@@ -172,13 +189,7 @@ class Session:
                     raise InvalidParams(str(exc)) from exc
         whole = bool(params.get("whole_program", False))
         best_effort = bool(params.get("best_effort", False))
-        include_paths = params.get("include_paths", [])
-        if isinstance(include_paths, str):
-            include_paths = [include_paths]
-        if not isinstance(include_paths, list) or not all(
-            isinstance(p, str) for p in include_paths
-        ):
-            raise InvalidParams("'include_paths' must be a list of strings")
+        include_paths = _string_list(params, "include_paths")
         # Remembered session-wide: didChange syntax probes resolve
         # headers exactly as the most recent analysis did.
         self._include_paths = tuple(include_paths)
@@ -262,13 +273,7 @@ class Session:
             suggest_paths_whole,
         )
 
-        paths = params.get("paths")
-        if isinstance(paths, str):
-            paths = [paths]
-        if not isinstance(paths, list) or not paths or not all(
-            isinstance(p, str) for p in paths
-        ):
-            raise InvalidParams("suggest needs 'paths': a non-empty list of strings")
+        paths = _string_list(params, "paths", needed_by="suggest")
         fmt = params.get("format", "human")
         if fmt not in ("human", "json"):
             raise InvalidParams(
@@ -277,13 +282,7 @@ class Session:
         top = params.get("top", 3)
         if not isinstance(top, int) or top < 1:
             raise InvalidParams("'top' must be a positive integer")
-        include_paths = params.get("include_paths", [])
-        if isinstance(include_paths, str):
-            include_paths = [include_paths]
-        if not isinstance(include_paths, list) or not all(
-            isinstance(p, str) for p in include_paths
-        ):
-            raise InvalidParams("'include_paths' must be a list of strings")
+        include_paths = _string_list(params, "include_paths")
         whole = bool(params.get("whole_program", False))
         # Resilient probes (didChange) resolve headers with the session's
         # remembered -I paths; keep the memo keys consistent with them.

@@ -12,7 +12,7 @@ Lambda programs (:func:`check_lambda`):
     solutions, and the satisfiability verdict;
 ``flatcore``
     the numpy/scipy flat-core kernel vs. the stdlib kernel
-    (:func:`repro.qual.flatcore.flat_solve` with ``kernel="fast"`` and
+    (:func:`repro.qual.solver.solve` with ``kernel="fast"`` and
     ``kernel="stdlib"``) over the same system — same per-variable
     fingerprints, verdict, :class:`~repro.qual.solver.SolverStats` and
     unsat blame (runs on both the lambda and the C side; skipped when
@@ -94,7 +94,7 @@ from ..lam.ast import Expr, walk
 from ..lam.eval import Evaluator, Store, StuckError
 from ..lam.infer import Inference, QualTypeError, QualifiedLanguage, infer
 from ..qual import qtypes as _qtypes
-from ..qual.flatcore import fast_available, flat_solve
+from ..qual.flatcore import fast_available
 from ..qual.qtypes import StdCon, StdType, StdVar, strip
 from ..qual.solver import (
     Solution,
@@ -134,7 +134,7 @@ class EngineConfig:
     reference_fn: Callable = solve_reference
     #: Solve with an explicit flat-core ``kernel=`` ("fast"/"stdlib");
     #: the ``flatcore`` oracle pits the two kernels against each other.
-    flat_fn: Callable = flat_solve
+    flat_fn: Callable = solve
     run_poly_fn: Callable = run_poly
     jobs: int = 2
     #: Evaluation budget for the subject-reduction oracle.
@@ -240,8 +240,7 @@ def _position_bounds(run: InferenceRun) -> list[tuple[int, int]]:
     """Each position's (least, greatest) solution as lattice masks."""
     solution = run.solution
     return [
-        (solution.least_of(p.var).mask, solution.greatest_of(p.var).mask)
-        for p in run.positions
+        solution.masks_of(p.var) for p in run.positions
     ]
 
 

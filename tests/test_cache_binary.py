@@ -76,7 +76,7 @@ class TestBinaryFormat:
             raise AssertionError("warm start re-solved the system")
 
         monkeypatch.setattr(IndexedSystem, "add_many", explode)
-        monkeypatch.setattr(flatcore, "solve_indexed", explode)
+        monkeypatch.setattr(IndexedSystem, "solve", explode)
         warm = cache.cached_run(SOURCE, "t.c", "mono")
         assert warm.timings and warm.timings.from_cache
         assert type(warm.solution) is Solution
@@ -210,16 +210,16 @@ class TestEngineSystemEntry:
 
         calls = []
         add_many = IndexedSystem.add_many
-        solve_indexed = flatcore.solve_indexed
+        solve = IndexedSystem.solve
         monkeypatch.setattr(
             IndexedSystem,
             "add_many",
             lambda self, cs: calls.append("add_many") or add_many(self, cs),
         )
         monkeypatch.setattr(
-            flatcore,
-            "solve_indexed",
-            lambda *a, **k: calls.append("solve") or solve_indexed(*a, **k),
+            IndexedSystem,
+            "solve",
+            lambda *a, **k: calls.append("solve") or solve(*a, **k),
         )
         run_poly(Program.from_source(SOURCE, "t.c"))
         bare = list(calls)

@@ -25,12 +25,14 @@ from hypothesis import strategies as st
 
 import repro.qual.flatcore as flatcore
 from repro.qual.constraints import QualConstraint
-from repro.qual.flatcore import fast_available, flat_solve
+from repro.qual.flatcore import fast_available
 from repro.qual.lattice import QualifierLattice, negative, positive
 from repro.qual.qtypes import QualVar
 from repro.qual.qualifiers import const_lattice
 from repro.qual.solver import (
+    Classification,
     IndexedSystem,
+    Solution,
     UnsatisfiableError,
     solve,
     solve_reference,
@@ -46,8 +48,8 @@ _VARS = [QualVar(f"v{i}", 20_000_000 + i) for i in range(5)]
 
 
 @st.composite
-def constraint_systems(draw):
-    lattice = draw(st.sampled_from(_LATTICES))
+def constraint_systems(draw, lattices=st.sampled_from(_LATTICES)):
+    lattice = draw(lattices)
     elements = list(lattice.elements())
     n = draw(st.integers(min_value=0, max_value=8))
     constraints = []
@@ -91,7 +93,7 @@ def kernels():
 @settings(max_examples=200, deadline=None)
 def test_flat_solve_fingerprints_match_both_solvers(data):
     lattice, constraints = data
-    flat = verdict(flat_solve, constraints, lattice, _VARS, kernel="stdlib")
+    flat = verdict(solve, constraints, lattice, _VARS, kernel="stdlib")
     pipeline = verdict(solve, constraints, lattice, _VARS)
     assert flat == pipeline
     reference = verdict(solve_reference, constraints, lattice, _VARS)
@@ -105,9 +107,82 @@ def test_stdlib_kernel_matches_fast_kernel(data):
     if not fast_available():
         pytest.skip("numpy/scipy kernel unavailable")
     lattice, constraints = data
-    fast = verdict(flat_solve, constraints, lattice, _VARS, kernel="fast")
-    slow = verdict(flat_solve, constraints, lattice, _VARS, kernel="stdlib")
+    fast = verdict(solve, constraints, lattice, _VARS, kernel="fast")
+    slow = verdict(solve, constraints, lattice, _VARS, kernel="stdlib")
     assert fast == slow
+
+
+@st.composite
+def mixed_polarity_lattices(draw):
+    """Products of one to three positive and one to three negative
+    two-point lattices."""
+    npos = draw(st.integers(min_value=1, max_value=3))
+    nneg = draw(st.integers(min_value=1, max_value=3))
+    return QualifierLattice(
+        [positive(f"p{i}") for i in range(npos)]
+        + [negative(f"n{i}") for i in range(nneg)]
+    )
+
+
+def element_classification(solution, var, qualifier):
+    """Section 4.4 on lattice elements: MUST if the extreme that a
+    present qualifier pushes toward has it, MUST_NOT if the other
+    extreme lacks it."""
+    lo, hi = solution.least_of(var), solution.greatest_of(var)
+    if qualifier.positive:
+        must, must_not = lo.has(qualifier), not hi.has(qualifier)
+    else:
+        must, must_not = hi.has(qualifier), not lo.has(qualifier)
+    if must:
+        return Classification.MUST
+    if must_not:
+        return Classification.MUST_NOT
+    return Classification.EITHER
+
+
+@given(constraint_systems(mixed_polarity_lattices()))
+@settings(max_examples=150, deadline=None)
+def test_bit_test_classify_matches_the_element_definition(data):
+    """``Solution.classify`` tests one bit of each mask; it must agree
+    with the element definition on every kernel's output and on a
+    ``Solution`` rebuilt from stored masks, as the warm cache path
+    builds it."""
+    lattice, constraints = data
+    stranger = QualVar("stranger", 999_999_997)
+    for kernel in kernels():
+        try:
+            solution = solve(constraints, lattice, _VARS, kernel=kernel)
+        except UnsatisfiableError:
+            return
+        variables = list(solution.least)
+        warm = Solution(
+            lattice,
+            variables,
+            [solution.masks_of(v)[0] for v in variables],
+            [solution.masks_of(v)[1] for v in variables],
+        )
+        for built in (solution, warm):
+            for var in _VARS + [stranger]:
+                for q in lattice.qualifiers:
+                    assert built.classify(var, q.name) is element_classification(
+                        built, var, q
+                    )
+                    assert built.classify(var, q.name) is solution.classify(var, q.name)
+
+
+def test_variable_indexed_after_the_solve_reads_bottom_and_top():
+    """The solution shares the system's live variable table; a variable
+    indexed after the solve was never solved, so it reads bottom/top."""
+    lattice = const_lattice()
+    system = IndexedSystem(lattice)
+    solution = system.solve((), [QualConstraint(lattice.atom("const"), _VARS[0])])
+    system.add_many([QualConstraint(_VARS[1], _VARS[2])])
+    for late in _VARS[1:3]:
+        assert solution.least_of(late) == lattice.bottom
+        assert solution.greatest_of(late) == lattice.top
+        assert solution.classify(late, "const") is Classification.EITHER
+        assert late not in solution.least
+    assert solution.classify(_VARS[0], "const") is Classification.MUST
 
 
 def big_system(lattice, n=2000):
@@ -135,8 +210,8 @@ class TestFastPathParity:
         production = solve(constraints, lattice)
         reference = solve_reference(constraints, lattice)
         for kernel in kernels():
-            solution = flat_solve(constraints, lattice, kernel=kernel)
-            assert type(solution).__name__ == "FlatSolution"
+            solution = solve(constraints, lattice, kernel=kernel)
+            assert type(solution) is Solution
             for v in variables:
                 assert solution.least_of(v) == reference.least_of(v)
                 assert solution.greatest_of(v) == reference.greatest_of(v)
@@ -152,7 +227,7 @@ class TestFastPathParity:
             solve_reference(constraints, lattice)
         for kernel in kernels():
             with pytest.raises(UnsatisfiableError) as raised:
-                flat_solve(constraints, lattice, kernel=kernel)
+                solve(constraints, lattice, kernel=kernel)
             assert str(raised.value) == str(reference.value)
             assert raised.value.explain() == reference.value.explain()
 
@@ -189,7 +264,7 @@ class TestWideLattice:
         assert solution.greatest == reference.greatest
         assert solution.least_of(variables[29]).has(self.lattice.qualifier("p39"))
         for kernel in kernels():  # too wide for the fast kernel: stdlib either way
-            assert verdict(flat_solve, constraints, self.lattice, kernel=kernel) == (
+            assert verdict(solve, constraints, self.lattice, kernel=kernel) == (
                 verdict(solve, constraints, self.lattice)
             )
 
@@ -206,7 +281,7 @@ class TestWideLattice:
 
 def test_solution_defaults_for_unknown_vars():
     lattice = const_lattice()
-    solution = flat_solve([QualConstraint(_VARS[0], _VARS[1])], lattice)
+    solution = solve([QualConstraint(_VARS[0], _VARS[1])], lattice)
     stranger = QualVar("stranger", 999_999_998)
     assert solution.least_of(stranger) == lattice.bottom
     assert solution.greatest_of(stranger) == lattice.top
@@ -240,7 +315,7 @@ def test_benchmark_shapes_agree_end_to_end():
     ):
         production = verdict(solve, constraints, lattice)
         for kernel in kernels():
-            assert verdict(flat_solve, constraints, lattice, kernel=kernel) == production
+            assert verdict(solve, constraints, lattice, kernel=kernel) == production
         reference = verdict(solve_reference, constraints, lattice)
         assert production[:2] == reference[:2]
 

@@ -150,6 +150,35 @@ def test_analyze_include_paths_validated(session, corpus):
         )
 
 
+_NEEDS_PATHS = "{method} needs 'paths': a non-empty list of strings"
+_BAD_INCLUDE = "'include_paths' must be a list of strings"
+
+
+@pytest.mark.parametrize("method", ["analyze", "suggest"])
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"paths": None}, _NEEDS_PATHS),
+        ({"paths": []}, _NEEDS_PATHS),
+        ({"paths": ["a.c", 3]}, _NEEDS_PATHS),
+        ({"paths": 7, "include_paths": [1]}, _NEEDS_PATHS),
+        ({"include_paths": [1, 2]}, _BAD_INCLUDE),
+        ({"include_paths": {"inc": 1}}, _BAD_INCLUDE),
+    ],
+    ids=["no-paths", "empty-paths", "non-string-path", "paths-first", "bad-include", "include-dict"],
+)
+def test_bad_paths_and_include_paths_rejected(session, corpus, method, params, message):
+    """analyze and suggest validate ``paths`` and ``include_paths`` with
+    the same messages, the method's name in the ``paths`` one."""
+    from repro.serve.protocol import InvalidParams
+
+    request = {"paths": [str(corpus / "src")], **params}
+    request = {k: v for k, v in request.items() if v is not None}
+    with pytest.raises(InvalidParams) as raised:
+        getattr(session, method)(request)
+    assert str(raised.value) == message.format(method=method)
+
+
 def test_resilient_memo_counts_in_stats(session, corpus):
     target = str(corpus / "src" / "a.c")
     session.did_change({"file": target, "text": BROKEN})
