@@ -28,7 +28,6 @@ from ..qual.qtypes import (
     LIST,
     QCon,
     QType,
-    fresh_qual_var,
     q_fun,
     q_int,
     qt,
@@ -75,8 +74,3 @@ def library_env() -> dict[str, QType]:
         # head : list -> int  (works on any list)
         "head": q_fun(bot, lst(any_q), q_int(bot)),
     }
-
-
-def fresh_list() -> QType:
-    """A list type with an unconstrained qualifier (for building tests)."""
-    return list_type(fresh_qual_var())

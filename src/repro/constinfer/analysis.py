@@ -137,10 +137,6 @@ class FunctionSig:
     defined: bool
 
     @property
-    def param_rvalues(self) -> list[QType]:
-        return [p.rvalue for p in self.params]
-
-    @property
     def ret_rvalue(self) -> QType:
         return self.ret_cell.rvalue
 

@@ -219,28 +219,31 @@ class FlowAnalysis:
 
     # -- transfer ---------------------------------------------------------
     def _stmt(self, stmt: FlowStmt, state: _State) -> _State:
+        """Update ``state`` past ``stmt`` and return the state after it.
+
+        One state is threaded along each path: a statement writes into
+        the state it is given, and only forks (``If``, ``Refine``, the
+        ``While`` head and its passes) copy.  A caller that still needs
+        the state before ``stmt`` copies it first."""
         match stmt:
             case NewCell(target=p, site=site):
                 self.cell(site)
-                out = state.copy()
-                out.ptrs[p] = frozenset({site})
+                state.ptrs[p] = frozenset({site})
                 # The pointer variable's own value (the pointer itself)
                 # is fresh and unconstrained — defined, so value packs
                 # can mention p without tripping the undefined-use check.
-                out.vals[p] = fresh_qual_var(f"{p}_ptr")
-                return out
+                state.vals[p] = fresh_qual_var(f"{p}_ptr")
+                return state
 
             case CopyPtr(target=q, source=p):
-                sites = self._sites_of(state, p)
-                out = state.copy()
-                out.ptrs[q] = sites
+                state.ptrs[q] = self._sites_of(state, p)
                 # q's value IS p's value (the copied pointer), so value
                 # qualifiers riding the pointer itself follow the copy.
                 copied = state.vals.get(p)
-                out.vals[q] = (
+                state.vals[q] = (
                     copied if copied is not None else fresh_qual_var(f"{q}_ptr")
                 )
-                return out
+                return state
 
             case StoreCell(pointer=p, value=value):
                 stored = self._eval(value, state)
@@ -253,19 +256,17 @@ class FlowAnalysis:
                 loaded = fresh_qual_var(f"{x}_load")
                 for site in self._sites_of(state, p):
                     self._emit(self.cell(site), loaded, f"load from {site}", stmt)
-                out = state.copy()
-                out.vals[x] = loaded
-                out.ptrs.pop(x, None)
-                return out
+                state.vals[x] = loaded
+                state.ptrs.pop(x, None)
+                return state
 
             case Assign(target=x, value=value):
                 rhs = self._eval(value, state)
                 after = fresh_qual_var(f"{x}_")
                 self._emit(rhs, after, f"assign {x}", stmt)
-                out = state.copy()
-                out.vals[x] = after  # strong update: no old inflow
-                out.ptrs.pop(x, None)
-                return out
+                state.vals[x] = after  # strong update: no old inflow
+                state.ptrs.pop(x, None)
+                return state
 
             case FreeCell() | UseCell() | ExitPoint():
                 # Resource events: meaningful only to the linearity pack
@@ -275,16 +276,14 @@ class FlowAnalysis:
                 return state
 
             case Havoc(target=x):
-                out = state.copy()
-                out.vals[x] = fresh_qual_var(f"{x}_any")
-                return out
+                state.vals[x] = fresh_qual_var(f"{x}_any")
+                return state
 
             case AnnotStmt(target=x, level=level):
                 self._check("annot", stmt, state)
                 # (Annot): the type at this point becomes exactly l.
-                out = state.copy()
-                out.vals[x] = level
-                return out
+                state.vals[x] = level
+                return state
 
             case AssertStmt():
                 self._check("assert", stmt, state)
@@ -304,8 +303,9 @@ class FlowAnalysis:
             case If(cond=cond, then=then, else_=else_):
                 if cond not in state.vals and cond not in state.ptrs:
                     raise FlowError(f"branch on undefined variable {cond!r}")
+                # A fork: then runs on a copy, else on the state itself.
                 then_state = self._block(then, state.copy())
-                else_state = self._block(else_, state.copy())
+                else_state = self._block(else_, state)
                 return self._merge(then_state, else_state, "if-merge")
 
             case While(cond=cond, body=body):

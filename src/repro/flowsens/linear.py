@@ -41,10 +41,8 @@ from .language import (
     FlowStmt,
     FreeCell,
     Havoc,
-    If,
     NewCell,
     UseCell,
-    While,
 )
 from .lower import LoweredFunction
 
@@ -137,6 +135,9 @@ class ResourceAnalysis(FlowAnalysis):
         self.obligations: list[_Obligation] = []
         #: every qualifier variable each source variable ever held
         self.history: dict[str, list[Qual]] = {}
+        #: (file, line, col) of each variable's first allocation, in
+        #: program order (loop trials record nothing)
+        self.first_alloc: dict[str, tuple[str, int, int]] = {}
 
     def _remember(self, var: str, qual: Qual) -> None:
         if self._recording:
@@ -149,9 +150,11 @@ class ResourceAnalysis(FlowAnalysis):
     def _stmt(self, stmt: FlowStmt, state: _State) -> _State:
         match stmt:
             case NewCell(target=p, site=site):
-                out = super()._stmt(stmt, state)
+                state = super()._stmt(stmt, state)
                 info = self.fn.alloc_sites.get(site)
                 if info is not None:
+                    if self._recording and p not in self.first_alloc:
+                        self.first_alloc[p] = (info.file, info.line, info.col)
                     seeded = fresh_qual_var(f"{p}_alloc")
                     if stmt.via is not None:
                         # Substituted from an ownership summary: chain
@@ -177,19 +180,18 @@ class ResourceAnalysis(FlowAnalysis):
                             f"{p} receives allocation from {info.callee}",
                             stmt,
                         )
-                    out.vals[p] = seeded
+                    state.vals[p] = seeded
                     self._remember(p, seeded)
-                return out
+                return state
 
             case CopyPtr(target=q):
-                out = super()._stmt(stmt, state)
-                copied = out.vals.get(q)
+                state = super()._stmt(stmt, state)
+                copied = state.vals.get(q)
                 if copied is not None:
                     self._remember(q, copied)
-                return out
+                return state
 
             case FreeCell(pointer=p):
-                out = state.copy()
                 current = state.vals.get(p)
                 if current is not None:
                     self._oblige(DOUBLE_FREE, p, current, stmt)
@@ -213,18 +215,19 @@ class ResourceAnalysis(FlowAnalysis):
                     self._emit(
                         self._freed_strong, freed, f"{p} is freed here", stmt
                     )
-                out.vals[p] = freed
+                state.vals[p] = freed
                 self._remember(p, freed)
                 # Aliases: a pointer sharing exactly p's one points-to
                 # site must alias it (strong update); overlapping sets
-                # only may alias (weak update: freed joins in).
+                # only may alias (weak update: freed joins the old
+                # value, read before it is overwritten).
                 sites = state.ptrs.get(p, frozenset())
                 if sites:
                     for q2, qsites in state.ptrs.items():
                         if q2 == p or not (qsites & sites):
                             continue
                         if qsites == sites and len(sites) == 1:
-                            out.vals[q2] = freed
+                            state.vals[q2] = freed
                         else:
                             weak = fresh_qual_var(f"{q2}_mayfreed")
                             old = state.vals.get(q2)
@@ -238,9 +241,9 @@ class ResourceAnalysis(FlowAnalysis):
                                 f"{q2} may alias freed {p}",
                                 stmt,
                             )
-                            out.vals[q2] = weak
-                        self._remember(q2, out.vals[q2])
-                return out
+                            state.vals[q2] = weak
+                        self._remember(q2, state.vals[q2])
+                return state
 
             case UseCell(pointer=p):
                 current = state.vals.get(p)
@@ -260,12 +263,12 @@ class ResourceAnalysis(FlowAnalysis):
                 # if x's allocation is now owned elsewhere, so is the
                 # identical value held by any CopyPtr'd alias.
                 shared = state.vals.get(x)
-                out = super()._stmt(stmt, state)
+                state = super()._stmt(stmt, state)
                 if shared is not None and isinstance(shared, QualVar):
-                    for y, v in state.vals.items():
+                    for y, v in list(state.vals.items()):
                         if y != x and v is shared:
-                            out.vals[y] = fresh_qual_var(f"{y}_any")
-                return out
+                            state.vals[y] = fresh_qual_var(f"{y}_any")
+                return state
 
             case _:
                 return super()._stmt(stmt, state)
@@ -381,6 +384,7 @@ def _evidence(
     analysis: ResourceAnalysis, solution: Solution
 ) -> tuple[dict[str, LatticeElement], dict[str, ResourceEvidence]]:
     lattice = analysis.lattice
+    fn = analysis.fn
     alloc_bound = lattice.top.without_qualifier("alloc")
     var_elements: dict[str, LatticeElement] = {}
     evidence: dict[str, ResourceEvidence] = {}
@@ -405,7 +409,7 @@ def _evidence(
                     best_path = len(path)
         var_elements[var] = joined
         if joined.has("alloc"):
-            site = _first_event(analysis.fn, var)
+            site = analysis.first_alloc.get(var, (fn.file, fn.line, fn.col))
             evidence[var] = ResourceEvidence(
                 variable=var,
                 qualifier="alloc",
@@ -416,27 +420,6 @@ def _evidence(
                 col=site[2],
             )
     return var_elements, evidence
-
-
-def _first_event(fn: LoweredFunction, var: str) -> tuple[str, int, int]:
-    def scan(stmts: tuple[FlowStmt, ...]) -> tuple[str, int, int] | None:
-        for s in stmts:
-            if isinstance(s, NewCell) and s.target == var:
-                if s.site in fn.alloc_sites:
-                    info = fn.alloc_sites[s.site]
-                    return (info.file, info.line, info.col)
-            if isinstance(s, While):
-                found = scan(s.body)
-                if found:
-                    return found
-            if isinstance(s, If):
-                found = scan(s.then) or scan(s.else_)
-                if found:
-                    return found
-        return None
-
-    hit = scan(fn.body)
-    return hit if hit is not None else (fn.file, fn.line, fn.col)
 
 
 def analyze_function_resources(

@@ -32,8 +32,8 @@ keep working) but the linearity pack skips unstructured functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, TypeVar, Union
 
 if TYPE_CHECKING:
     from .ownership import OwnershipSummary
@@ -240,20 +240,6 @@ class LoweredFunction:
     #: suggestion mode's confidence discount.
     escape_calls: int = 0
 
-    @property
-    def stmt_count(self) -> int:
-        def count(stmts: Sequence[FlowStmt]) -> int:
-            n = 0
-            for s in stmts:
-                n += 1
-                if isinstance(s, If):
-                    n += count(s.then) + count(s.else_)
-                elif isinstance(s, While):
-                    n += count(s.body)
-            return n
-
-        return count(self.body)
-
 
 _Spanned = Union[CExpr, CStmt, VarDecl, ParamDecl]
 _S = TypeVar("_S", bound=FlowStmt)
@@ -311,9 +297,9 @@ class _Lowerer:
         self._counter = itertools.count()
 
     # -- helpers ----------------------------------------------------------
-    def _at(self, stmt: _S, node: _Spanned) -> _S:
-        """Stamp a lowered statement with the C node's source span."""
-        return replace(stmt, line=node.line, col=node.col, file=self.f.file)
+    def _at(self, cls: type[_S], node: _Spanned, **fields: Any) -> _S:
+        """Build a lowered statement stamped with the C node's source span."""
+        return cls(**fields, line=node.line, col=node.col, file=self.f.file)
 
     def _tmp(self, prefix: str) -> str:
         # '%' is not legal in C identifiers, so temps never collide.
@@ -341,8 +327,8 @@ class _Lowerer:
         self.known.add(name)
         self.tracked.discard(name)
         return [
-            self._at(Assign(target=name, value=self.bottom), at),
-            self._at(Havoc(target=name), at),
+            self._at(Assign, at, target=name, value=self.bottom),
+            self._at(Havoc, at, target=name),
         ]
 
     def _escape(self, name: str, at: _Spanned) -> list[FlowStmt]:
@@ -350,11 +336,11 @@ class _Lowerer:
         if name not in self.known:
             return []
         self.tracked.discard(name)
-        return [self._at(Havoc(target=name), at)]
+        return [self._at(Havoc, at, target=name)]
 
     def _use(self, name: str, at: _Spanned) -> list[FlowStmt]:
         if name in self.known and name in self.pointer_vars:
-            return [self._at(UseCell(pointer=name), at)]
+            return [self._at(UseCell, at, pointer=name)]
         return []
 
     def _owns_pointer(self, e: CExpr) -> bool:
@@ -400,11 +386,10 @@ class _Lowerer:
                         # in-place update: conservatively re-assign
                         pre.append(
                             self._at(
-                                Assign(
-                                    target=target.name,
-                                    value=VarRef(target.name),
-                                ),
+                                Assign,
                                 e,
+                                target=target.name,
+                                value=VarRef(target.name),
                             )
                         )
                         self.tracked.discard(target.name)
@@ -451,7 +436,7 @@ class _Lowerer:
             if target.name in self.tracked:
                 tmp = self._tmp("t")
                 pre.append(
-                    self._at(LoadCell(target=tmp, pointer=target.name), at)
+                    self._at(LoadCell, at, target=tmp, pointer=target.name)
                 )
                 self.known.add(tmp)
                 return pre, VarRef(tmp)
@@ -466,7 +451,7 @@ class _Lowerer:
             if base.name in self.tracked:
                 tmp = self._tmp("t")
                 pre.append(
-                    self._at(LoadCell(target=tmp, pointer=base.name), e)
+                    self._at(LoadCell, e, target=tmp, pointer=base.name)
                 )
                 self.known.add(tmp)
                 return pre, VarRef(tmp)
@@ -488,7 +473,7 @@ class _Lowerer:
             if idx < len(e.args):
                 released = _strip(e.args[idx])
                 if isinstance(released, Ident) and released.name in self.known:
-                    pre.append(self._at(FreeCell(pointer=released.name), e))
+                    pre.append(self._at(FreeCell, e, pointer=released.name))
                 else:
                     self._note(f"release of non-variable argument to {name}")
         elif name is not None and name in self.policy.allocators:
@@ -551,7 +536,7 @@ class _Lowerer:
             if verdict == PARAM_FREES:
                 if isinstance(a, Ident) and a.name in self.known:
                     pre.append(
-                        self._at(FreeCell(pointer=a.name, via=via), e)
+                        self._at(FreeCell, e, pointer=a.name, via=via)
                     )
                     continue
                 self._note(
@@ -579,10 +564,7 @@ class _Lowerer:
             if isinstance(t, Ident) and t.name in self.known:
                 pre.append(
                     self._at(
-                        Assign(
-                            target=t.name, value=Join(VarRef(t.name), rhs)
-                        ),
-                        e,
+                        Assign, e, target=t.name, value=Join(VarRef(t.name), rhs)
                     )
                 )
                 self.tracked.discard(t.name)
@@ -622,7 +604,7 @@ class _Lowerer:
                             and old.name in self.known
                         ):
                             pre.append(
-                                self._at(FreeCell(pointer=old.name), rhs)
+                                self._at(FreeCell, rhs, pointer=old.name)
                             )
                 site = (
                     f"{callee}@{rhs.line}:{rhs.col}#{next(self._counter)}"
@@ -635,7 +617,7 @@ class _Lowerer:
                     line=rhs.line,
                     col=rhs.col,
                 )
-                pre.append(self._at(NewCell(target=name, site=site), at))
+                pre.append(self._at(NewCell, at, target=name, site=site))
                 self.known.add(name)
                 self.tracked.add(name)
                 self.pointer_vars.add(name)
@@ -669,7 +651,7 @@ class _Lowerer:
                     col=summary.col,
                 )
                 pre.append(
-                    self._at(NewCell(target=name, site=site, via=via), at)
+                    self._at(NewCell, at, target=name, site=site, via=via)
                 )
                 self.known.add(name)
                 self.tracked.add(name)
@@ -681,12 +663,12 @@ class _Lowerer:
             self.tracked.add(name)
             self.pointer_vars.add(name)
             return (
-                [self._at(CopyPtr(target=name, source=rhs.name), at)],
+                [self._at(CopyPtr, at, target=name, source=rhs.name)],
                 name,
             )
         # x = *p / x = p->f / x = p[i] / any other rhs: a plain value.
         pre, v = self._expr(value)
-        pre.append(self._at(Assign(target=name, value=v), at))
+        pre.append(self._at(Assign, at, target=name, value=v))
         self.known.add(name)
         self.tracked.discard(name)
         return pre, name
@@ -726,9 +708,7 @@ class _Lowerer:
             out += self._use(ident.name, at)
             if ident.name in self.tracked:
                 out.append(
-                    self._at(
-                        StoreCell(pointer=ident.name, value=value), at
-                    )
+                    self._at(StoreCell, at, pointer=ident.name, value=value)
                 )
         else:
             p, _ = self._expr(base)
@@ -747,7 +727,7 @@ class _Lowerer:
         """
         pre, v = self._expr(e)
         cvar = self._tmp("c")
-        pre.append(self._at(Assign(target=cvar, value=v), at))
+        pre.append(self._at(Assign, at, target=cvar, value=v))
         self.known.add(cvar)
         null_var, null_in_then = self._null_test(e)
         return pre, cvar, null_var, null_in_then
@@ -791,7 +771,7 @@ class _Lowerer:
         """In the branch where ``name`` is NULL it holds no resource."""
         if name is None or name not in self.known:
             return []
-        return [self._at(Assign(target=name, value=self.bottom), at)]
+        return [self._at(Assign, at, target=name, value=self.bottom)]
 
     # -- statements -------------------------------------------------------
     def _terminates(self, s: Optional[CStmt]) -> bool:
@@ -880,9 +860,7 @@ class _Lowerer:
         self.tracked |= then_tracked
         self.known |= then_known
         out.append(
-            self._at(
-                If(cond=cvar, then=tuple(then_b), else_=tuple(else_b)), s
-            )
+            self._at(If, s, cond=cvar, then=tuple(then_b), else_=tuple(else_b))
         )
         return consumed
 
@@ -945,7 +923,7 @@ class _Lowerer:
                 if ident in self.pointer_vars:
                     out += self._use(ident, s)
                     out += self._escape(ident, s)
-        out.append(self._at(ExitPoint(), s))
+        out.append(self._at(ExitPoint, s))
         return out
 
     def _stmt(self, s: CStmt) -> list[FlowStmt]:
@@ -999,12 +977,12 @@ class _Lowerer:
                 pre, _ = self._expr(value)
                 cvar = self._tmp("c")
                 pre.append(
-                    self._at(Assign(target=cvar, value=self.bottom), s)
+                    self._at(Assign, s, target=cvar, value=self.bottom)
                 )
                 self.known.add(cvar)
                 arm = self._seq(self._body_of(body))
                 pre.append(
-                    self._at(If(cond=cvar, then=tuple(arm), else_=()), s)
+                    self._at(If, s, cond=cvar, then=tuple(arm), else_=())
                 )
                 return pre
             case CaseStmt(stmt=stmt):
@@ -1024,7 +1002,7 @@ class _Lowerer:
         cond_expr: Optional[CExpr] = cond
         if cond is None:
             cvar = self._tmp("c")
-            out.append(self._at(Assign(target=cvar, value=self.bottom), at))
+            out.append(self._at(Assign, at, target=cvar, value=self.bottom))
             self.known.add(cvar)
             null_var: Optional[str] = None
             null_in_then = False
@@ -1040,8 +1018,8 @@ class _Lowerer:
             # back edge sees the updated condition variable.
             pre2, v2 = self._expr(cond_expr)
             body_b += pre2
-            body_b.append(self._at(Assign(target=cvar, value=v2), at))
-        out.append(self._at(While(cond=cvar, body=tuple(body_b)), at))
+            body_b.append(self._at(Assign, at, target=cvar, value=v2))
+        out.append(self._at(While, at, cond=cvar, body=tuple(body_b)))
         if null_var is not None and not null_in_then:
             # while (p) { ... } — after the loop p is NULL.
             out += self._null_refine(null_var, at)
@@ -1056,7 +1034,7 @@ class _Lowerer:
                 site = f"decl:{decl.name}#{next(self._counter)}"
                 self.known.add(decl.name)
                 self.tracked.add(decl.name)
-                return [self._at(NewCell(target=decl.name, site=site), decl)]
+                return [self._at(NewCell, decl, target=decl.name, site=site)]
             return self._fresh_var(decl.name, decl)
         if isinstance(decl.init, InitList):
             pre, _ = self._expr(decl.init)
@@ -1078,8 +1056,7 @@ class _Lowerer:
                 self.tracked.add(param.name)
                 prologue.append(
                     self._at(
-                        NewCell(target=param.name, site=f"param:{param.name}"),
-                        param,
+                        NewCell, param, target=param.name, site=f"param:{param.name}"
                     )
                 )
             else:

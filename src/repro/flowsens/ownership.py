@@ -273,29 +273,17 @@ def _walk(block: Block, state: _WalkState, facts: _WalkFacts) -> _WalkState:
                 state.terminated = True
             case If(then=then, else_=else_):
                 s_then = _walk(then, state.copy(), facts)
-                s_else = _walk(else_, state.copy(), facts)
+                s_else = _walk(else_, state, facts)
                 state = _merge(s_then, s_else)
             case Refine(body=body):
                 s_body = _walk(body, state.copy(), facts)
                 state = _merge(state, s_body)
             case While(body=body):
                 s_body = _walk(body, state.copy(), facts)
-                after = _WalkState()
-                if not s_body.terminated:
-                    for var in set(state.alias) | set(s_body.alias):
-                        after.alias[var] = state.alias.get(
-                            var, frozenset()
-                        ) & s_body.alias.get(var, frozenset())
-                    for var in set(state.may) | set(s_body.may):
-                        after.may[var] = state.may.get(
-                            var, frozenset()
-                        ) | s_body.may.get(var, frozenset())
-                else:
-                    after.alias = dict(state.alias)
-                    after.may = dict(state.may)
                 # The loop may run zero times: only pre-loop frees are must.
-                after.freed = state.freed
-                state = after
+                freed = state.freed
+                state = _merge(state, s_body)
+                state.freed = freed
             case _:
                 pass
     return state

@@ -327,29 +327,6 @@ class QualifierLattice:
     def __hash__(self) -> int:
         return self._hash
 
-    def signature(self) -> str:
-        """Canonical textual form: ``name+;name-`` in canonical (sorted
-        name) order.  Structurally equal lattices have equal signatures,
-        and bitmasks are exchangeable between a lattice and the one
-        rebuilt via :meth:`from_signature` — the binary cache stores this
-        string instead of pickling the lattice object graph.
-        """
-        return ";".join(
-            f"{q.name}{'+' if q.positive else '-'}" for q in self._sorted_qualifiers
-        )
-
-    @classmethod
-    def from_signature(cls, text: str) -> "QualifierLattice":
-        """Rebuild a lattice from :meth:`signature` output."""
-        qualifiers = []
-        for part in text.split(";") if text else []:
-            name, tag = part[:-1], part[-1:]
-            if not name or tag not in {"+", "-"}:
-                raise LatticeError(f"malformed lattice signature part: {part!r}")
-            polarity = Polarity.POSITIVE if tag == "+" else Polarity.NEGATIVE
-            qualifiers.append(Qualifier(name, polarity))
-        return cls(qualifiers)
-
     # ------------------------------------------------------------------
     # Element construction
     # ------------------------------------------------------------------

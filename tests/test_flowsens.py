@@ -13,17 +13,22 @@ from repro.flowsens import (
     AnnotStmt,
     Assign,
     AssertStmt,
+    CopyPtr,
+    FlowAnalysis,
     FlowError,
     Havoc,
     If,
     Join,
     Literal,
+    NewCell,
     Refine,
+    StoreCell,
     VarRef,
     While,
     analyze_flow,
     block,
 )
+from repro.flowsens.analysis import _State
 from repro.qual.qualifiers import nonnull_lattice, taint_lattice
 
 
@@ -277,3 +282,111 @@ class TestErrorsAndPlumbing:
         )
         result = analyze_flow(program, taint)
         assert "sink-7" in str(result.failures[0])
+
+
+class TestStateThreading:
+    """One state is threaded along each path: straight-line statements
+    update it in place, and only forks copy it.  Counted, not timed, so
+    the analysis stays linear in program length."""
+
+    #: copies per If/While/Refine visit: If and Refine copy once, a
+    #: While copies its head and its exit pass, plus one per points-to
+    #: trial (one when the body adds no site).
+    COPIES_PER_FORK = 3
+
+    @staticmethod
+    def straightline(lattice, n):
+        stmts = [Assign("x0", lit(lattice, "tainted"))]
+        stmts += [Assign(f"x{i}", VarRef(f"x{i - 1}")) for i in range(1, n)]
+        stmts.append(AssertStmt(f"x{n - 1}", lattice.element(), label="sink"))
+        return block(*stmts)
+
+    @staticmethod
+    def branchy(lattice, depth):
+        inner: tuple = (Assign("x", lit(lattice, "tainted")),)
+        for _ in range(depth):
+            inner = (If("flag", then=inner, else_=(Assign("y", lit(lattice)),)),)
+        return block(Assign("flag", lit(lattice)), Assign("x", lit(lattice)), *inner)
+
+    @staticmethod
+    def loopy(lattice, width, loops):
+        stmts = [Assign("n", lit(lattice))]
+        stmts += [Assign(f"v{i}", lit(lattice)) for i in range(width)]
+        body = tuple(
+            Assign(f"v{i}", Join(VarRef(f"v{i}"), VarRef(f"v{(i + 1) % width}")))
+            for i in range(width)
+        )
+        stmts += [While("n", body=body) for _ in range(loops)]
+        return block(*stmts)
+
+    @staticmethod
+    def pointer_loops(lattice, loops):
+        """Nested loops over pointers, so the points-to trials run, with
+        a branch and a refinement inside every body."""
+        body: tuple = (
+            NewCell("q", "inner"),
+            If("n", then=(CopyPtr("p", "q"),), else_=()),
+            Refine("x", "tainted", body=(StoreCell("p", VarRef("x")),)),
+        )
+        for _ in range(loops):
+            body = (While("n", body=body), CopyPtr("p", "p"))
+        return block(
+            Assign("n", lit(lattice)),
+            Assign("x", lit(lattice)),
+            NewCell("p", "outer"),
+            *body,
+        )
+
+    @staticmethod
+    def count(monkeypatch, program, lattice):
+        """(state copies, If/While/Refine visits) of one analysis."""
+        counts = {"copies": 0, "forks": 0}
+        copy, stmt = _State.copy, FlowAnalysis._stmt
+
+        def counting_copy(self):
+            counts["copies"] += 1
+            return copy(self)
+
+        def counting_stmt(self, node, state):
+            if isinstance(node, (If, While, Refine)):
+                counts["forks"] += 1
+            return stmt(self, node, state)
+
+        monkeypatch.setattr(_State, "copy", counting_copy)
+        monkeypatch.setattr(FlowAnalysis, "_stmt", counting_stmt)
+        analyze_flow(program, lattice)
+        monkeypatch.undo()
+        return counts["copies"], counts["forks"]
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_straight_line_code_copies_no_state(self, monkeypatch, taint, n):
+        copies, forks = self.count(monkeypatch, self.straightline(taint, n), taint)
+        assert (copies, forks) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["branchy", "loopy", "pointer_loops"],
+    )
+    def test_copies_bounded_by_forks(self, monkeypatch, taint, shape):
+        program = {
+            "branchy": lambda: self.branchy(taint, 30),
+            "loopy": lambda: self.loopy(taint, 8, 10),
+            "pointer_loops": lambda: self.pointer_loops(taint, 3),
+        }[shape]()
+        copies, forks = self.count(monkeypatch, program, taint)
+        assert forks > 0
+        assert copies <= self.COPIES_PER_FORK * forks
+
+    def test_threading_keeps_branch_states_apart(self, taint):
+        # The else-branch runs on the state the then-branch was copied
+        # from: neither branch may see the other's update.
+        program = block(
+            Assign("flag", lit(taint)),
+            Assign("x", lit(taint)),
+            If(
+                "flag",
+                then=(Assign("x", lit(taint, "tainted")),),
+                else_=(AssertStmt("x", taint.element(), label="else"),),
+            ),
+        )
+        assert analyze_flow(program, taint).ok

@@ -191,6 +191,66 @@ class TestReportShape:
         assert ev.qualifier == "alloc"
         assert ev.path_length >= 1 and ev.fan_in >= 1
 
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            pytest.param(
+                "int f(void) { char *p = malloc(8);\n"
+                "if (!p) return -1;\n"
+                "free(p); return 0; }",
+                ("t.c", 7, 31),
+                id="straight-line",
+            ),
+            pytest.param(
+                "int f(int n) {\n"
+                "    char *p;\n"
+                "    while (n > 0) {\n"
+                "        p = malloc(4);\n"
+                "        free(p);\n"
+                "        n--;\n"
+                "    }\n"
+                "    return 0; }",
+                ("t.c", 10, 19),
+                id="loop-body",
+            ),
+            pytest.param(
+                "int f(int c) {\n"
+                "    char *p;\n"
+                "    if (c) { p = 0; }\n"
+                "    else { p = malloc(4); free(p); }\n"
+                "    return 0; }",
+                ("t.c", 10, 22),
+                id="else-branch",
+            ),
+            pytest.param(
+                "int f(void) {\n"
+                "    char *p = malloc(4);\n"
+                "    free(p);\n"
+                "    p = malloc(8);\n"
+                "    free(p);\n"
+                "    return 0; }",
+                ("t.c", 8, 21),
+                id="first-of-two",
+            ),
+            pytest.param(
+                "int f(int c) {\n"
+                "    char *p;\n"
+                "    if (c) { p = malloc(4); free(p); }\n"
+                "    else { p = malloc(8); free(p); }\n"
+                "    return 0; }",
+                ("t.c", 9, 24),
+                id="then-before-else",
+            ),
+        ],
+    )
+    def test_evidence_names_the_first_allocation(self, lattice, body, expected):
+        # PROTOS is six lines, so the body starts on line 7; a call's
+        # span is its argument list's "(".
+        program = Program.from_source(PROTOS + body, filename="t.c")
+        lowered = lower_function(program.functions["f"], lattice)
+        ev = analyze_lowered(lowered, lattice).evidence["p"]
+        assert (ev.file, ev.line, ev.col) == expected
+
     def test_flow_steps_carry_spans(self, lattice):
         out = findings(
             "void f(void) { char *p = malloc(8); free(p); free(p); }",
