@@ -73,6 +73,10 @@ class Program:
     prototypes: dict[str, FuncDecl] = field(default_factory=dict)
     globals: dict[str, VarDecl] = field(default_factory=dict)
     typedefs: dict[str, TypedefDecl] = field(default_factory=dict)
+    #: :meth:`occurrences`, walked on first use
+    _occurrences: dict[str, set[str]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -143,6 +147,43 @@ class Program:
         """Prototyped but never defined: the library functions of
         Section 4.2, treated maximally conservatively."""
         return set(self.prototypes) - set(self.functions)
+
+    def occurrences(self) -> dict[str, set[str]]:
+        """Per defined function, the names occurring in its body
+        (:func:`occurring_names`).  The bodies are walked once per
+        program: the function dependence graph, the whole-program call
+        graph and :meth:`library_prototypes` all read this one map."""
+        if self._occurrences is None:
+            self._occurrences = {
+                name: occurring_names(fdef) for name, fdef in self.functions.items()
+            }
+        return self._occurrences
+
+    def initializer_names(self) -> set[str]:
+        """All identifier names occurring in global initializers."""
+        return {
+            e.name
+            for decl in self.globals.values()
+            if decl.init is not None
+            for e in expressions_of(decl.init)
+            if type(e) is Ident
+        }
+
+    def library_prototypes(
+        self, named: frozenset[str] = frozenset()
+    ) -> list[FuncDecl]:
+        """The undefined prototypes whose name occurs in a function body
+        or a global initializer, or is in ``named``, in declaration
+        order.  Section 4.2's library rule is about what a *call* might
+        do, so a prototype nothing mentions constrains nothing."""
+        mentioned = self.initializer_names().union(
+            named, *self.occurrences().values()
+        )
+        return [
+            proto
+            for name, proto in self.prototypes.items()
+            if name in mentioned and name not in self.functions
+        ]
 
     def total_lines(self) -> int:
         """Highest source line seen, summed per unit (a proxy for the

@@ -61,11 +61,27 @@ from .diagnostics import Diagnostic, FlowStep, Span
 class CheckerInference(ConstInference):
     """Constraint generation plus checker bookkeeping: every dereference
     site is recorded so nonnull-style checks can turn each one into a
-    sink obligation."""
+    sink obligation.  ``checks`` are the checks whose source and sink
+    rules will be applied: their functions get library signatures even
+    when the program declares them without mentioning them."""
 
-    def __init__(self, program: Program, lattice, **options):
+    def __init__(
+        self,
+        program: Program,
+        lattice,
+        checks: tuple[QualifierCheck, ...] = (),
+        **options,
+    ):
         super().__init__(program, lattice, **options)
         self.deref_sites: list[tuple[Qual, Span]] = []
+        self.rule_functions = frozenset(
+            rule.function
+            for check in checks
+            for rule in (*check.sources, *check.sinks)
+        )
+
+    def library_prototypes(self) -> list[ast.FuncDecl]:
+        return self.program.library_prototypes(self.rule_functions)
 
     def note_deref(self, value: QType, e: ast.CExpr) -> None:
         span = Span(self._current_file, e.line, e.col)
@@ -248,13 +264,21 @@ def _check_obligations(
 
 
 def _const_violation(exc: UnsatisfiableError) -> Diagnostic:
+    """The conflict as a diagnostic.  The message names the bounds and
+    the violated constraint's origin, never its qualifier variables:
+    their uids follow whatever the process allocated before, and the
+    message feeds the fingerprint."""
     flow = _flow_steps(exc.path) if exc.path else ()
     fallback = Span.from_origin(exc.constraint.origin)
     return Diagnostic(
         check="const-violation",
         qualifier="const",
         severity="error",
-        message=str(exc).splitlines()[0],
+        message=(
+            f"unsatisfiable qualifier constraint (forced lower bound "
+            f"{exc.lower} exceeds upper bound {exc.upper}; "
+            f"{exc.constraint.origin})"
+        ),
         span=_primary_span(flow, fallback),
         flow=flow,
     )
@@ -517,7 +541,7 @@ def check_program(
         c for c in checks if not c.syntactic_casts and not c.flow_pack
     )
     if flow_checks:
-        inference = CheckerInference(program, lattice_for(flow_checks))
+        inference = CheckerInference(program, lattice_for(flow_checks), flow_checks)
         generate_mono(inference)
 
         seed_functions = _seed_checks(inference, flow_checks)

@@ -215,7 +215,7 @@ def _value_suggestions(program: Program) -> list[Suggestion]:
             self.recorded_cells.setdefault(key, cell)
             return cell
 
-    inference = _Recording(program, lattice)
+    inference = _Recording(program, lattice, value_checks)
     generate_mono(inference)
     _seed_checks(inference, value_checks)
 

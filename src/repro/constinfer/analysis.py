@@ -390,6 +390,11 @@ class ConstInference:
             )
         return sig
 
+    def library_prototypes(self) -> list[FuncDecl]:
+        """The undefined prototypes whose signatures the shared-cell pass
+        builds, in declaration order: those the program mentions."""
+        return self.program.library_prototypes()
+
     def prototype_signature(self, decl: FuncDecl) -> FunctionSig:
         sig = self.signatures.get(decl.name)
         if sig is None:

@@ -383,17 +383,18 @@ def _generate_functions(inference: ConstInference) -> None:
 
 def _create_shared_cells(inference: ConstInference) -> None:
     """Pre-create every monomorphic shared cell — globals, struct fields,
-    and library-function signatures — so the polymorphic engine's
-    uid-watermark never mistakes them for SCC-local variables."""
+    and the signatures of the library functions the program mentions
+    (:meth:`~repro.constinfer.analysis.ConstInference.library_prototypes`)
+    — so the polymorphic engine's uid-watermark never mistakes them for
+    SCC-local variables."""
     program = inference.program
     for name in program.globals:
         inference.global_cell(name)
     for tag, struct in program.structs.items():
         for field_decl in struct.fields:
             inference.field_cell(tag, field_decl.name)
-    for proto in program.prototypes.values():
-        if proto.name not in program.functions:
-            inference.prototype_signature(proto)
+    for proto in inference.library_prototypes():
+        inference.prototype_signature(proto)
 
 
 def _uid_boundary() -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cfront.sema import Program, occurring_names
+from ..cfront.sema import Program
 from ..qual.flatcore import sccs_of
 
 
@@ -34,11 +34,11 @@ class FunctionDependenceGraph:
     @classmethod
     def build(cls, program: Program) -> "FunctionDependenceGraph":
         defined = program.defined_function_names()
+        occurrences = program.occurrences()
         graph = cls()
         graph.vertices = sorted(defined)
         for name in graph.vertices:
-            mentions = occurring_names(program.functions[name])
-            graph.edges[name] = mentions & defined
+            graph.edges[name] = occurrences[name] & defined
         return graph
 
     @classmethod

@@ -196,9 +196,11 @@ class FlowAnalysis:
 
     def _merge(self, a: _State, b: _State, reason: str) -> _State:
         """Join two states: fresh merge variables where the values
-        differ, set-union of the points-to sets."""
+        differ, set-union of the points-to sets.  Names are visited in
+        insertion order, ``a``'s first, so merge constraints and merge
+        variables do not follow string hashing."""
         out = _State()
-        for name in set(a.vals) | set(b.vals):
+        for name in a.vals | b.vals:
             qa, qb = a.vals.get(name), b.vals.get(name)
             if qa is None or qb is None:
                 # defined on one path only: conservative, keep the one
@@ -211,7 +213,7 @@ class FlowAnalysis:
                 self._emit(qa, merged, f"{reason}-left")
                 self._emit(qb, merged, f"{reason}-right")
                 out.vals[name] = merged
-        for name in set(a.ptrs) | set(b.ptrs):
+        for name in a.ptrs | b.ptrs:
             out.ptrs[name] = a.ptrs.get(name, frozenset()) | b.ptrs.get(
                 name, frozenset()
             )
@@ -247,14 +249,15 @@ class FlowAnalysis:
 
             case StoreCell(pointer=p, value=value):
                 stored = self._eval(value, state)
-                for site in self._sites_of(state, p):
+                # sites in name order: a frozenset iterates in hash order
+                for site in sorted(self._sites_of(state, p)):
                     # weak update: the value joins the cell's contents
                     self._emit(stored, self.cell(site), f"store into {site}", stmt)
                 return state
 
             case LoadCell(target=x, pointer=p):
                 loaded = fresh_qual_var(f"{x}_load")
-                for site in self._sites_of(state, p):
+                for site in sorted(self._sites_of(state, p)):
                     self._emit(self.cell(site), loaded, f"load from {site}", stmt)
                 state.vals[x] = loaded
                 state.ptrs.pop(x, None)

@@ -32,7 +32,6 @@ from ..cfront.sema import (
     address_taken_names,
     direct_callees,
     indirect_call_sites,
-    occurring_names,
 )
 from ..constinfer.fdg import FunctionDependenceGraph
 
@@ -69,19 +68,16 @@ class WholeProgramCallGraph:
     def build(cls, program: Program) -> "WholeProgramCallGraph":
         defined = program.defined_function_names()
         known = defined | set(program.prototypes)
+        occurrences = program.occurrences()
         graph = cls()
 
         for name in sorted(defined):
             fdef = program.functions[name]
             graph.direct[name] = direct_callees(fdef) & defined
-            graph.occurrence[name] = occurring_names(fdef) & defined
+            graph.occurrence[name] = occurrences[name] & defined
             graph.address_taken.update(address_taken_names(fdef) & defined)
         # Global initializers take addresses too (function-pointer tables).
-        for decl in program.globals.values():
-            if decl.init is not None:
-                for expr in _init_idents(decl.init):
-                    if expr in defined:
-                        graph.address_taken.add(expr)
+        graph.address_taken.update(program.initializer_names() & defined)
 
         candidates = sorted(graph.address_taken)
         for name in sorted(defined):
@@ -129,15 +125,6 @@ class WholeProgramCallGraph:
             "indirect_sites": len(self.indirect_sites),
             "indirect_edges": sum(len(v) for v in self.indirect.values()),
         }
-
-
-def _init_idents(expr: ast.CExpr) -> list[str]:
-    """Identifier names inside a global initializer expression."""
-    from ..cfront.sema import expressions_of
-
-    return [
-        e.name for e in expressions_of(expr) if isinstance(e, ast.Ident)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,12 @@ class TUSummary:
 
 def shared_layout_digest(program: Program) -> str:
     """Digest of everything the shared uid band's contents depend on:
-    global declarations, struct/union layouts, and undefined (library)
-    prototypes, in creation order.  Editing a function body elsewhere
-    keeps this stable (upstream summaries stay warm); adding a global or
-    a struct field shifts the shared uids and correctly invalidates
-    every summary."""
+    global declarations, struct/union layouts, and the undefined
+    (library) prototypes the program mentions, in creation order.
+    Editing a function body elsewhere keeps this stable (upstream
+    summaries stay warm) unless the edit starts or stops mentioning a
+    library function; that, like adding a global or a struct field,
+    shifts the shared uids and correctly invalidates every summary."""
     digest = hashlib.sha256()
     for name, decl in program.globals.items():
         digest.update(f"g:{name}:{decl.type!r}\n".encode())
@@ -78,12 +79,11 @@ def shared_layout_digest(program: Program) -> str:
         digest.update(f"s:{tag}:{int(struct.is_union)}\n".encode())
         for field_decl in struct.fields:
             digest.update(f"f:{field_decl.name}:{field_decl.type!r}\n".encode())
-    for name, proto in program.prototypes.items():
-        if name not in program.functions:
-            digest.update(
-                f"p:{name}:{proto.ret!r}:"
-                f"{tuple(p.type for p in proto.params)!r}:{proto.varargs}\n".encode()
-            )
+    for proto in program.library_prototypes():
+        digest.update(
+            f"p:{proto.name}:{proto.ret!r}:"
+            f"{tuple(p.type for p in proto.params)!r}:{proto.varargs}\n".encode()
+        )
     return digest.hexdigest()
 
 

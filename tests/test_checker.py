@@ -336,6 +336,28 @@ class TestConstViolationDegradation:
         assert const[0].severity == "error"
         assert const[0].span.is_valid
 
+    def test_message_does_not_depend_on_process_history(self):
+        """Qualifier-variable uids come from a process-wide counter, so a
+        message naming them would change with whatever ran before it —
+        and the message feeds the fingerprint."""
+        from pathlib import Path
+
+        from repro.checker.runner import analyze
+
+        target = Path(__file__).resolve().parent.parent / "examples" / "realworld" / "args.c"
+
+        def const_findings():
+            report = analyze([str(target)], best_effort=True)
+            return [
+                (d.message, d.fingerprint)
+                for d in report.diagnostics
+                if d.check == "const-violation"
+            ]
+
+        first = const_findings()
+        assert first
+        assert const_findings() == first
+
 
 class TestLambdaAdapter:
     def test_insecure_program_reports_flow(self):

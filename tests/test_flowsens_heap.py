@@ -443,3 +443,94 @@ def test_no_constraint_mentions_a_trial_variable(body):
             prologue + body, _LATTICE, monkeypatch
         )
     assert not trial_vars & mentioned
+
+
+#: Builds seeded random flow programs (``random.Random`` over integers,
+#: so the programs themselves never depend on string hashing), analyses
+#: each, and prints every constraint list.
+_HASHSEED_SCRIPT = r"""
+import random
+
+from repro.flowsens.analysis import FlowAnalysis, FlowError
+from repro.flowsens.language import (
+    AnnotStmt, Assign, AssertStmt, CopyPtr, Havoc, If, Literal, LoadCell,
+    NewCell, Refine, StoreCell, VarRef, While,
+)
+from repro.qual.qualifiers import taint_lattice
+
+LATTICE = taint_lattice()
+LEVELS = (LATTICE.element(), LATTICE.element("tainted"))
+SCALARS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta")
+POINTERS = ("p", "q", "r")
+
+
+def value(rng):
+    if rng.random() < 0.5:
+        return VarRef(rng.choice(SCALARS))
+    return Literal(rng.choice(LEVELS))
+
+
+def statements(rng, depth):
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(11 if depth else 8)
+        scalar, pointer = rng.choice(SCALARS), rng.choice(POINTERS)
+        out.append(
+            [
+                lambda: Assign(scalar, value(rng)),
+                lambda: Havoc(scalar),
+                lambda: AssertStmt(scalar, rng.choice(LEVELS)),
+                lambda: AnnotStmt(scalar, rng.choice(LEVELS)),
+                lambda: NewCell(pointer, rng.choice(("s1", "s2", "s3"))),
+                lambda: CopyPtr(pointer, rng.choice(POINTERS)),
+                lambda: StoreCell(pointer, value(rng)),
+                lambda: LoadCell(scalar, pointer),
+                lambda: If(
+                    scalar, statements(rng, depth - 1), statements(rng, depth - 1)
+                ),
+                lambda: While(scalar, statements(rng, depth - 1)),
+                lambda: Refine(scalar, "tainted", statements(rng, depth - 1)),
+            ][kind]()
+        )
+    return tuple(out)
+
+
+for seed in range(100):
+    rng = random.Random(seed)
+    prologue = tuple(Assign(x, Literal(LEVELS[0])) for x in SCALARS) + tuple(
+        NewCell(p, "s0") for p in POINTERS
+    )
+    analysis = FlowAnalysis(LATTICE)
+    try:
+        analysis.analyze(prologue + statements(rng, 3))
+    except FlowError as exc:
+        print(seed, "error", exc)
+        continue
+    print(seed, [(str(c), c.origin.reason) for c in analysis.constraints])
+"""
+
+
+def test_constraint_order_does_not_follow_string_hashing():
+    """Merges walk the joined states' names in insertion order, so the
+    same programs give the same constraint lists under any hash seed."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(hashseed):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", _HASHSEED_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+
+    first = run("1")
+    assert first.count("\n") == 100
+    assert "-left" in first  # some programs merge differing values
+    assert run("2") == first

@@ -13,6 +13,7 @@ from repro.checker.cli import main as checker_main
 from repro.serve import Session
 
 CORPUS = Path(__file__).resolve().parent.parent / "examples" / "multi_tu"
+REALWORLD = CORPUS.parent / "realworld"
 
 
 def one_shot(capsys, argv):
@@ -54,6 +55,25 @@ def test_daemon_matches_one_shot_single_file(capsys, session):
     target = str(CORPUS / "input.c")
     expected_out, expected_code = one_shot(capsys, [target, "--format", "json"])
     result = session.analyze({"paths": [target], "format": "json"})
+    assert result["report"] == expected_out
+    assert result["exit_code"] == expected_code
+
+
+def test_daemon_with_history_matches_one_shot(capsys, session):
+    """A session that analysed another file first has allocated other
+    qualifier variables; its const-violation findings must still match
+    the one-shot CLI's byte for byte."""
+    session.analyze(
+        {"paths": [str(REALWORLD / "list.c")], "format": "sarif", "best_effort": True}
+    )
+    target = str(REALWORLD / "args.c")
+    expected_out, expected_code = one_shot(
+        capsys, [target, "--best-effort", "--format", "sarif"]
+    )
+    assert "const-violation" in expected_out
+    result = session.analyze(
+        {"paths": [target], "format": "sarif", "best_effort": True}
+    )
     assert result["report"] == expected_out
     assert result["exit_code"] == expected_code
 

@@ -170,6 +170,21 @@ def test_adding_a_global_invalidates_every_summary(tmp_path):
     assert result.summary_hits == 0
 
 
+def test_mentioning_another_library_function_invalidates_every_summary(tmp_path):
+    """Only mentioned library functions get shared-band signatures, so
+    an edit that starts calling one shifts the shared uid layout."""
+    sources = dict(FOUR_TUS)
+    sources["util.c"] = "extern char *strdup(const char *s);\n" + sources["util.c"]
+    cache = AnalysisCache(tmp_path)
+    run_whole_poly(link_sources(sources), cache=cache)
+    sources["main.c"] += "char *copy(const char *s) { return strdup(s); }\n"
+    warm = run_whole_poly(link_sources(sources), cache=cache)
+    assert warm.summary_hits == 0
+    assert run_fingerprint(warm) == run_fingerprint(
+        run_whole_poly(link_sources(sources))
+    )
+
+
 def test_cross_tu_mutual_recursion_forms_one_group():
     sources = {
         "even.c": (
