@@ -45,6 +45,6 @@ from .cpretty import (
     normalize_stmt,
     normalize_toplevel,
 )
-from .sema import Program, SemaError, expressions_of, occurring_names
+from .sema import Program, SemaError, expressions_of
 
 __all__ = [name for name in dir() if not name.startswith("_")]

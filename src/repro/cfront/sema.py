@@ -7,16 +7,18 @@ Several translation units can be merged, matching the paper's setup of
 analysing a whole package at once ("we analyzed each set of programs at
 once"); colliding function definitions are renamed, as the paper did.
 
-Also provides the body-walking helpers the FDG construction needs: the
-set of function names *occurring* in a function's body (Definition 4 says
-there is an edge f -> g iff f contains an occurrence of the name g — any
-occurrence, not just calls, so function-pointer uses count).
+Also provides the body walks: :meth:`Program.occurrences` walks each
+function body once and records what the function dependence graph, the
+whole-program call graph and the checker read from it — above all the
+names *occurring* in the body (Definition 4 says there is an edge
+f -> g iff f contains an occurrence of the name g — any occurrence, not
+just calls, so function-pointer uses count).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .cast import (
     Assignment,
@@ -36,7 +38,6 @@ from .cast import (
     ForStmt,
     FuncDecl,
     FuncDef,
-    GotoStmt,
     Ident,
     IfStmt,
     Index,
@@ -74,7 +75,7 @@ class Program:
     globals: dict[str, VarDecl] = field(default_factory=dict)
     typedefs: dict[str, TypedefDecl] = field(default_factory=dict)
     #: :meth:`occurrences`, walked on first use
-    _occurrences: dict[str, set[str]] | None = field(
+    _occurrences: dict[str, BodyOccurrences] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -148,14 +149,17 @@ class Program:
         Section 4.2, treated maximally conservatively."""
         return set(self.prototypes) - set(self.functions)
 
-    def occurrences(self) -> dict[str, set[str]]:
-        """Per defined function, the names occurring in its body
-        (:func:`occurring_names`).  The bodies are walked once per
+    def occurrences(self) -> dict[str, BodyOccurrences]:
+        """Per defined function, what one walk of its body records
+        (:func:`body_occurrences`).  Each body is walked once per
         program: the function dependence graph, the whole-program call
-        graph and :meth:`library_prototypes` all read this one map."""
+        graph, :meth:`library_prototypes`, the casts-away-const check
+        and the suggester all read this one map."""
         if self._occurrences is None:
+            known = self.functions.keys() | self.prototypes.keys()
             self._occurrences = {
-                name: occurring_names(fdef) for name, fdef in self.functions.items()
+                name: body_occurrences(fdef, known)
+                for name, fdef in self.functions.items()
             }
         return self._occurrences
 
@@ -177,7 +181,7 @@ class Program:
         order.  Section 4.2's library rule is about what a *call* might
         do, so a prototype nothing mentions constrains nothing."""
         mentioned = self.initializer_names().union(
-            named, *self.occurrences().values()
+            named, *(o.names for o in self.occurrences().values())
         )
         return [
             proto
@@ -337,52 +341,66 @@ def expressions_of(node: CStmt | CExpr) -> list[CExpr]:
     return out
 
 
-def occurring_names(fdef: FuncDef) -> set[str]:
-    """All identifier names occurring in a function body (Definition 4's
-    'occurrence of the name g', so any mention counts, calls or not)."""
-    return {e.name for e in expressions_of(fdef.body) if type(e) is Ident}
+@dataclass
+class BodyOccurrences:
+    """What one walk of a function body records."""
+
+    #: every identifier occurring in the body (Definition 4's
+    #: "occurrence of the name g", calls or not)
+    names: set[str]
+    #: names called directly: ``f(...)`` with ``f`` a plain identifier
+    callees: set[str]
+    #: names occurring outside direct-callee position.  C decays a
+    #: function name to a pointer everywhere but a direct call, so this
+    #: is the body's conservative "address taken" set (assignment,
+    #: argument passing, explicit ``&f``, ...)
+    values: set[str]
+    #: calls whose callee is not the name of a function the program
+    #: defines or declares — calls through function-pointer values —
+    #: in walk order
+    indirect_calls: tuple[Call, ...]
+    #: cast expressions in the body
+    casts: int
 
 
-def direct_callees(fdef: FuncDef) -> set[str]:
-    """Names called directly (``f(...)`` with ``f`` a plain identifier)."""
-    names: set[str] = set()
-    for expr in expressions_of(fdef.body):
-        if isinstance(expr, Call) and isinstance(expr.func, Ident):
-            names.add(expr.func.name)
-    return names
-
-
-def address_taken_names(fdef: FuncDef) -> set[str]:
-    """Identifiers occurring *outside* the direct-callee position of a
-    call — the conservative "address taken" set for function-pointer
-    resolution (assignment, argument passing, explicit ``&f``, ...).
-
-    C decays a function name to a pointer in every context except a
-    direct call, so any non-callee occurrence is a potential capture.
-    The AST is a tree, so node identity distinguishes the same name
-    used both as callee and as a value.
-    """
+def body_occurrences(fdef: FuncDef, known: AbstractSet[str]) -> BodyOccurrences:
+    """One walk of ``fdef``'s body; ``known`` names the functions the
+    program defines or declares.  The AST is a tree, so node identity
+    tells the same name used as callee and as value apart."""
     exprs = expressions_of(fdef.body)
-    callee_idents = {
-        id(e.func) for e in exprs if isinstance(e, Call) and isinstance(e.func, Ident)
-    }
-    return {
-        e.name for e in exprs if isinstance(e, Ident) and id(e) not in callee_idents
-    }
+    callees: set[str] = set()
+    callee_nodes: set[int] = set()
+    indirect: list[Call] = []
+    casts = 0
+    for e in exprs:
+        cls = type(e)
+        if cls is Call:
+            func = e.func
+            if type(func) is Ident:
+                callees.add(func.name)
+                callee_nodes.add(id(func))
+                if func.name in known:
+                    continue
+            indirect.append(e)
+        elif cls is Cast:
+            casts += 1
+    idents = [e for e in exprs if type(e) is Ident]
+    return BodyOccurrences(
+        names={e.name for e in idents},
+        callees=callees,
+        values={e.name for e in idents if id(e) not in callee_nodes},
+        indirect_calls=tuple(indirect),
+        casts=casts,
+    )
 
 
-def indirect_call_sites(fdef: FuncDef, function_names: set[str]) -> list[Call]:
-    """Call expressions whose callee is not a known function name —
-    calls through function-pointer values needing resolution.
-
-    ``function_names`` should cover defined functions and prototypes;
-    a callee Ident outside that set is a function-pointer variable.
-    """
-    sites: list[Call] = []
-    for expr in expressions_of(fdef.body):
-        if not isinstance(expr, Call):
-            continue
-        if isinstance(expr.func, Ident) and expr.func.name in function_names:
-            continue
-        sites.append(expr)
-    return sites
+def local_declarations(fdef: FuncDef) -> list[VarDecl]:
+    """Every declaration in a function body, each once, in pre-order:
+    a ``for``-init declaration is listed where :func:`statements`
+    visits it, ahead of the loop body's."""
+    return [
+        decl
+        for stmt in statements(fdef.body)
+        if type(stmt) is DeclStmt
+        for decl in stmt.decls
+    ]

@@ -34,6 +34,7 @@ least solution does not exist).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..cfront import cast as ast
@@ -47,7 +48,7 @@ from ..cfront.ctypes import (
     CType,
     format_ctype,
 )
-from ..cfront.sema import Program
+from ..cfront.sema import Program, expressions_of, statement_expressions
 from ..constinfer.analysis import ConstInference
 from ..constinfer.engine import generate_mono
 from ..qual.constraints import Origin, QualConstraint
@@ -352,17 +353,65 @@ def _expr_ctype(
             return None
 
 
-def _cast_walk_expr(
-    e: ast.CExpr,
+def _scoped_walk(
+    s: ast.CStmt,
     env: dict[str, CType],
-    program: Program,
-    check: QualifierCheck,
-    file: str,
-    out: list[Diagnostic],
+    visit: Callable[[ast.CExpr, dict[str, CType]], None],
 ) -> None:
-    if isinstance(e, ast.Cast):
-        src = _expr_ctype(e.operand, env, program)
-        if src is not None and classify_cast(src, e.target_type) is CastClass.AWAY_CONST:
+    """Call ``visit(expr, env)`` on each expression a statement tree
+    holds itself, in source order, with ``env`` the declared types in
+    scope there.  The scoping is constraint generation's
+    (:meth:`ConstInference._stmt`): a block, a branch and a loop body
+    see a copy of the enclosing scope, and a ``for``-init declaration
+    is scoped to its loop.  An initialiser is visited before its own
+    declaration enters scope."""
+    match s:
+        case ast.Compound(body=body):
+            inner = dict(env)
+            for child in body:
+                _scoped_walk(child, inner, visit)
+        case ast.DeclStmt(decls=decls):
+            for decl in decls:
+                if decl.init is not None:
+                    visit(decl.init, env)
+                env[decl.name] = decl.type
+        case ast.ForStmt(init=init, body=body):
+            inner = dict(env)
+            if isinstance(init, ast.DeclStmt):
+                _scoped_walk(init, inner, visit)
+            for e in statement_expressions(s):
+                visit(e, inner)
+            _scoped_walk(body, inner, visit)
+        case ast.DoWhileStmt(body=body, cond=cond):
+            _scoped_walk(body, dict(env), visit)
+            visit(cond, env)
+        case ast.IfStmt(cond=cond, then=then, other=other):
+            visit(cond, env)
+            _scoped_walk(then, dict(env), visit)
+            if other is not None:
+                _scoped_walk(other, dict(env), visit)
+        case ast.WhileStmt(cond=cond, body=body) | ast.SwitchStmt(value=cond, body=body):
+            visit(cond, env)
+            _scoped_walk(body, dict(env), visit)
+        case ast.CaseStmt(stmt=inner) | ast.LabeledStmt(stmt=inner):
+            for e in statement_expressions(s):
+                visit(e, env)
+            _scoped_walk(inner, env, visit)
+        case _:
+            for e in statement_expressions(s):
+                visit(e, env)
+
+
+def _cast_diagnostics(program: Program, check: QualifierCheck) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
+
+    def visit(expr: ast.CExpr, env: dict[str, CType], file: str) -> None:
+        for e in expressions_of(expr):
+            if type(e) is not ast.Cast:
+                continue
+            src = _expr_ctype(e.operand, env, program)
+            if src is None or classify_cast(src, e.target_type) is not CastClass.AWAY_CONST:
+                continue
             span = Span(file, e.line, e.col)
             message = check.message.format(
                 source_type=format_ctype(src),
@@ -378,59 +427,15 @@ def _cast_walk_expr(
                     flow=(FlowStep(note=message, span=span),),
                 )
             )
-    for name in type(e).__dataclass_fields__:
-        value = getattr(e, name)
-        if isinstance(value, ast.CExpr):
-            _cast_walk_expr(value, env, program, check, file, out)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, ast.CExpr):
-                    _cast_walk_expr(item, env, program, check, file, out)
 
-
-def _cast_walk_stmt(
-    s: ast.CStmt,
-    env: dict[str, CType],
-    program: Program,
-    check: QualifierCheck,
-    file: str,
-    out: list[Diagnostic],
-) -> None:
-    if isinstance(s, ast.Compound):
-        inner = dict(env)
-        for child in s.body:
-            _cast_walk_stmt(child, inner, program, check, file, out)
-        return
-    if isinstance(s, ast.DeclStmt):
-        for decl in s.decls:
-            if decl.init is not None:
-                _cast_walk_expr(decl.init, env, program, check, file, out)
-            env[decl.name] = decl.type
-        return
-    for name in type(s).__dataclass_fields__:
-        value = getattr(s, name)
-        if isinstance(value, ast.CExpr):
-            _cast_walk_expr(value, env, program, check, file, out)
-        elif isinstance(value, ast.CStmt):
-            _cast_walk_stmt(value, env, program, check, file, out)
-        elif isinstance(value, ast.DeclStmt):
-            _cast_walk_stmt(value, env, program, check, file, out)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, ast.CStmt):
-                    _cast_walk_stmt(item, env, program, check, file, out)
-                elif isinstance(item, ast.CExpr):
-                    _cast_walk_expr(item, env, program, check, file, out)
-
-
-def _cast_diagnostics(program: Program, check: QualifierCheck) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for fdef in program.functions.values():
-        env = {p.name: p.type for p in fdef.params if p.name}
-        _cast_walk_stmt(fdef.body, env, program, check, fdef.file, out)
+    occurrences = program.occurrences()
+    for name, fdef in program.functions.items():
+        if occurrences[name].casts:
+            env = {p.name: p.type for p in fdef.params if p.name}
+            _scoped_walk(fdef.body, env, partial(visit, file=fdef.file))
     for decl in program.globals.values():
         if decl.init is not None:
-            _cast_walk_expr(decl.init, {}, program, check, decl.file, out)
+            visit(decl.init, {}, decl.file)
     return out
 
 

@@ -35,16 +35,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from ..cfront.cast import Cast, DeclStmt, ForStmt, FuncDef, VarDecl
-from ..cfront.sema import Program, expressions_of, statements
+from ..cfront.sema import Program, local_declarations
 from ..constinfer.analysis import TranslatedType
 from ..constinfer.engine import generate_mono
 from ..qual.lattice import QualifierLattice
 from ..qual.qtypes import QualVar, quals_of
 from ..qual.solver import (
-    Solution,
     UnsatisfiableError,
     shortest_flow_path,
     solve,
@@ -109,22 +107,6 @@ def confidence(
     return round(path_factor * fan_factor * cast_factor * escape_factor, 4)
 
 
-def _function_casts(fdef: FuncDef) -> int:
-    n = 0
-    for e in expressions_of(fdef.body):
-        if isinstance(e, Cast):
-            n += 1
-    return n
-
-
-def _local_decls(fdef: FuncDef) -> Iterator[VarDecl]:
-    for s in statements(fdef.body):
-        if isinstance(s, DeclStmt):
-            yield from s.decls
-        elif isinstance(s, ForStmt) and isinstance(s.init, DeclStmt):
-            yield from s.init.decls
-
-
 @dataclass(frozen=True)
 class _Declaration:
     """One suggestion target: a cell plus where to print it."""
@@ -141,11 +123,12 @@ class _Declaration:
 
 def _declarations(program: Program, inference) -> list[_Declaration]:
     out: list[_Declaration] = []
+    occurrences = program.occurrences()
     for fdef in program.functions.values():
         sig = inference.signatures.get(fdef.name)
         if sig is None:
             continue
-        casts = _function_casts(fdef)
+        casts = occurrences[fdef.name].casts
         for param, cell in zip(fdef.params, sig.params):
             if param.name is None:
                 continue
@@ -161,7 +144,7 @@ def _declarations(program: Program, inference) -> list[_Declaration]:
                     casts=casts,
                 )
             )
-        for decl in _local_decls(fdef):
+        for decl in local_declarations(fdef):
             cell = inference.recorded_cells.get(
                 (decl.file, decl.line, decl.col)
             )
@@ -306,6 +289,7 @@ def _resource_suggestions(
         policy = with_summaries(DEFAULT_POLICY, ownership)
     out: list[Suggestion] = []
     lattice = resource_lattice()
+    occurrences = program.occurrences()
     for fdef in program.functions.values():
         try:
             lowered = lower_function(fdef, lattice, policy)
@@ -314,12 +298,12 @@ def _resource_suggestions(
             report = analyze_lowered(lowered, lattice)
         except Exception:
             continue
-        casts = _function_casts(fdef)
+        casts = occurrences[fdef.name].casts
         spans: dict[str, tuple[str, int, int]] = {}
         for param in fdef.params:
             if param.name:
                 spans[param.name] = ("param", param.line, param.col)
-        for decl in _local_decls(fdef):
+        for decl in local_declarations(fdef):
             spans.setdefault(decl.name, ("local", decl.line, decl.col))
         for var, ev in sorted(report.evidence.items()):
             kind, line, col = spans.get(var, ("local", ev.line, ev.col))

@@ -38,7 +38,7 @@ class FunctionDependenceGraph:
         graph = cls()
         graph.vertices = sorted(defined)
         for name in graph.vertices:
-            graph.edges[name] = occurrences[name] & defined
+            graph.edges[name] = occurrences[name].names & defined
         return graph
 
     @classmethod

@@ -60,7 +60,7 @@ from ..cfront.cast import (
     Unary,
 )
 from ..cfront.ctypes import CPointer
-from ..cfront.sema import statement_expressions, statements
+from ..cfront.sema import local_declarations, statement_expressions, statements
 from ..qual.lattice import QualifierLattice
 from ..qual.qualifiers import resource_lattice
 from .language import (
@@ -293,9 +293,7 @@ def _param_verdicts(
     fdef: FuncDef, fn: LoweredFunction
 ) -> tuple[str, ...]:
     local_names = {p.name for p in fdef.params if p.name is not None}
-    for stmt in statements(fdef.body):
-        if isinstance(stmt, DeclStmt):
-            local_names.update(decl.name for decl in stmt.decls)
+    local_names.update(decl.name for decl in local_declarations(fdef))
     facts = _WalkFacts(local_names=frozenset(local_names))
     final = _walk(fn.body, _WalkState(), facts)
     if not final.terminated:

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from ..cfront import cast as ast
 from ..cfront.cast import Call, FuncDef
 from ..cfront.ctypes import CArray, CFunc, CPointer, CType, pointer_depth
-from ..cfront.sema import (
-    Program,
-    address_taken_names,
-    direct_callees,
-    indirect_call_sites,
-)
+from ..cfront.sema import Program, local_declarations
 from ..constinfer.fdg import FunctionDependenceGraph
 
 
@@ -67,24 +62,23 @@ class WholeProgramCallGraph:
     @classmethod
     def build(cls, program: Program) -> "WholeProgramCallGraph":
         defined = program.defined_function_names()
-        known = defined | set(program.prototypes)
         occurrences = program.occurrences()
         graph = cls()
 
         for name in sorted(defined):
-            fdef = program.functions[name]
-            graph.direct[name] = direct_callees(fdef) & defined
-            graph.occurrence[name] = occurrences[name] & defined
-            graph.address_taken.update(address_taken_names(fdef) & defined)
+            occ = occurrences[name]
+            graph.direct[name] = occ.callees & defined
+            graph.occurrence[name] = occ.names & defined
+            graph.address_taken.update(occ.values & defined)
         # Global initializers take addresses too (function-pointer tables).
         graph.address_taken.update(program.initializer_names() & defined)
 
         candidates = sorted(graph.address_taken)
         for name in sorted(defined):
-            fdef = program.functions[name]
-            sites = indirect_call_sites(fdef, known)
+            sites = occurrences[name].indirect_calls
             if not sites:
                 continue
+            fdef = program.functions[name]
             env = _declared_types(fdef, program)
             resolved: set[str] = set()
             for site in sorted(sites, key=lambda s: (s.line, s.col)):
@@ -151,15 +145,8 @@ def _declared_types(fdef: FuncDef, program: Program) -> dict[str, CType]:
     for param in fdef.params:
         if param.name:
             env[param.name] = param.type
-    from ..cfront.sema import statements
-
-    for stmt in statements(fdef.body):
-        if isinstance(stmt, ast.DeclStmt):
-            for decl in stmt.decls:
-                env[decl.name] = decl.type
-        elif isinstance(stmt, ast.ForStmt) and isinstance(stmt.init, ast.DeclStmt):
-            for decl in stmt.init.decls:
-                env[decl.name] = decl.type
+    for decl in local_declarations(fdef):
+        env[decl.name] = decl.type
     return env
 
 

@@ -105,6 +105,32 @@ class TestPlantedViolations:
         assert diags[0].span.line == 2
         assert "casts away const" in diags[0].message
 
+    def test_for_init_declaration_is_scoped_to_its_loop(self):
+        # The loop's `const char *p` shadows the outer `char *p` only
+        # inside the loop; the cast after it converts the outer one.
+        source = (
+            "void use(char *q);\n"
+            "void f(const char *s) {\n"
+            "    char *p = 0;\n"
+            "    for (const char *p = s; *p; p++) { use((char *)p); }\n"
+            "    use((char *)p);\n"
+            "}\n"
+        )
+        diags = findings(source, checks=[check_by_name("casts-away-const")])
+        assert [(d.span.line, d.span.column) for d in diags] == [(4, 44)]
+
+    def test_block_declaration_is_scoped_to_its_block(self):
+        source = (
+            "void use(char *q);\n"
+            "void f(const char *s) {\n"
+            "    char *p = 0;\n"
+            "    { const char *p = s; use((char *)p); }\n"
+            "    use((char *)p);\n"
+            "}\n"
+        )
+        diags = findings(source, checks=[check_by_name("casts-away-const")])
+        assert [d.span.line for d in diags] == [4]
+
     def test_binding_time_survives_arithmetic(self):
         diags = [d for d in findings(BINDING_SRC) if d.check == "binding-time"]
         assert len(diags) == 1

@@ -92,7 +92,7 @@ class TestOnlyMentionedPrototypes:
         unit = CCorpus(5, gen.modules, assignment, 2)
         program = Program.from_source(unit.sources()["u1.c"], "u1.c")
         undefined = program.undefined_function_names()
-        mentioned = set().union(*program.occurrences().values())
+        mentioned = set().union(*(o.names for o in program.occurrences().values()))
         built = _count_built(monkeypatch)
         run_mono(program)
         assert built == [n for n in program.prototypes if n in undefined & mentioned]

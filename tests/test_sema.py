@@ -3,7 +3,7 @@
 from repro.cfront.sema import (
     Program,
     expressions_of,
-    occurring_names,
+    local_declarations,
     statements,
 )
 
@@ -120,7 +120,7 @@ class TestOccurringNames:
         program = Program.from_source(
             "int g(void){return 0;} int f(void) { return g(); }"
         )
-        assert "g" in occurring_names(program.functions["f"])
+        assert "g" in program.occurrences()["f"].names
 
     def test_address_of_counts(self):
         # Definition 4: ANY occurrence of the name, not just calls.
@@ -130,10 +130,34 @@ class TestOccurringNames:
             void f(void) { int (*p)(void) = g; }
             """
         )
-        assert "g" in occurring_names(program.functions["f"])
+        assert "g" in program.occurrences()["f"].names
 
     def test_no_occurrence(self):
         program = Program.from_source(
             "int g(void){return 0;} int f(void) { return 1; }"
         )
-        assert "g" not in occurring_names(program.functions["f"])
+        assert "g" not in program.occurrences()["f"].names
+
+
+class TestLocalDeclarations:
+    def test_each_local_listed_once_in_source_order(self):
+        program = Program.from_source(
+            "int f(int n) {\n"
+            "    int a = n;\n"
+            "    for (char *p = 0; p; p++) { char *q = p; }\n"
+            "    { int a = 2; }\n"
+            "    return a;\n"
+            "}\n"
+        )
+        decls = local_declarations(program.functions["f"])
+        assert [(d.name, d.line) for d in decls] == [
+            ("a", 2),
+            ("p", 3),
+            ("q", 3),
+            ("a", 4),
+        ]
+        assert len({id(d) for d in decls}) == len(decls)
+
+    def test_parameters_are_not_locals(self):
+        program = Program.from_source("int f(int n) { return n; }")
+        assert local_declarations(program.functions["f"]) == []

@@ -159,3 +159,40 @@ def test_stats_shape():
     assert stats["address_taken"] == 1
     assert stats["indirect_sites"] == 1
     assert stats["indirect_edges"] == 1
+
+
+def test_each_body_is_walked_once_per_program(monkeypatch):
+    """The FDG, the call graph, the library-prototype filter, the
+    checker and the suggester all read one cached walk per body."""
+    import sys
+
+    from repro.cfront import sema
+    from repro.checker.engine import check_program
+    from repro.checker.suggest import suggest_program
+    from repro.constinfer.fdg import FunctionDependenceGraph
+    from repro.testkit.cgen import generate_c_corpus
+
+    linked = link_sources(generate_c_corpus(10).sources())
+    program = linked.program
+    walks: dict[int, int] = {}
+    walk = sema.expressions_of
+
+    def counting(node):
+        walks[id(node)] = walks.get(id(node), 0) + 1
+        return walk(node)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "expressions_of", None) is walk:
+            monkeypatch.setattr(module, "expressions_of", counting)
+
+    FunctionDependenceGraph.build(program)
+    graph = WholeProgramCallGraph.build(program)
+    program.library_prototypes()
+    check_program(program)
+    suggest_program(program)
+
+    bodies = [id(fdef.body) for fdef in program.functions.values()]
+    assert sorted(walks.get(body, 0) for body in set(bodies)) == [1] * len(bodies)
+    # the corpus exercises the indirect-call and cast readers
+    assert graph.indirect_sites
+    assert any(o.casts for o in program.occurrences().values())

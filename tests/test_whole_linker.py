@@ -55,14 +55,9 @@ def test_static_functions_renamed_and_references_rewritten():
     assert f"helper{STATIC_SEPARATOR}a" in linked.program.functions
     assert f"helper{STATIC_SEPARATOR}b" in linked.program.functions
     # each caller references its own unit's helper
-    from repro.cfront.sema import occurring_names
-
-    assert f"helper{STATIC_SEPARATOR}a" in occurring_names(
-        linked.program.functions["call_a"]
-    )
-    assert f"helper{STATIC_SEPARATOR}b" in occurring_names(
-        linked.program.functions["call_b"]
-    )
+    occurrences = linked.program.occurrences()
+    assert f"helper{STATIC_SEPARATOR}a" in occurrences["call_a"].names
+    assert f"helper{STATIC_SEPARATOR}b" in occurrences["call_b"].names
 
 
 def test_local_declaration_shadows_static_rename():
@@ -79,11 +74,10 @@ def test_local_declaration_shadows_static_rename():
             ),
         }
     )
-    from repro.cfront.sema import occurring_names
-
-    shadowed = occurring_names(linked.program.functions["shadowed"])
+    occurrences = linked.program.occurrences()
+    shadowed = occurrences["shadowed"].names
     assert "counter@a" not in shadowed
-    unshadowed = occurring_names(linked.program.functions["unshadowed"])
+    unshadowed = occurrences["unshadowed"].names
     assert "counter@a" in unshadowed
 
 
@@ -96,9 +90,7 @@ def test_parameter_shadows_static_rename():
             ),
         }
     )
-    from repro.cfront.sema import occurring_names
-
-    assert "depth@a" not in occurring_names(linked.program.functions["use_param"])
+    assert "depth@a" not in linked.program.occurrences()["use_param"].names
 
 
 def test_conflicting_types_across_units_diagnosed():
