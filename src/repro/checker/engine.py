@@ -363,8 +363,8 @@ def _scoped_walk(
     scope there.  The scoping is constraint generation's
     (:meth:`ConstInference._stmt`): a block, a branch and a loop body
     see a copy of the enclosing scope, and a ``for``-init declaration
-    is scoped to its loop.  An initialiser is visited before its own
-    declaration enters scope."""
+    is scoped to its loop.  As in C, a declaration enters scope before
+    its own initialiser is visited."""
     match s:
         case ast.Compound(body=body):
             inner = dict(env)
@@ -372,9 +372,9 @@ def _scoped_walk(
                 _scoped_walk(child, inner, visit)
         case ast.DeclStmt(decls=decls):
             for decl in decls:
+                env[decl.name] = decl.type
                 if decl.init is not None:
                     visit(decl.init, env)
-                env[decl.name] = decl.type
         case ast.ForStmt(init=init, body=body):
             inner = dict(env)
             if isinstance(init, ast.DeclStmt):

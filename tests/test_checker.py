@@ -131,6 +131,15 @@ class TestPlantedViolations:
         diags = findings(source, checks=[check_by_name("casts-away-const")])
         assert [d.span.line for d in diags] == [4]
 
+    def test_declaration_is_in_scope_in_its_own_initialiser(self):
+        # As in C, the inner `s` is in scope in its own initialiser, so
+        # the cast converts a `char *` and casts nothing away.
+        source = (
+            "void use(char *q);\n"
+            "void f(const char *s) { { char *s = (char *)s; use(s); } }\n"
+        )
+        assert findings(source, checks=[check_by_name("casts-away-const")]) == []
+
     def test_binding_time_survives_arithmetic(self):
         diags = [d for d in findings(BINDING_SRC) if d.check == "binding-time"]
         assert len(diags) == 1
