@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
 
 from .cast import (
     Assignment,
@@ -1030,6 +1031,36 @@ def parse_c(source: str, filename: str = "<input>") -> TranslationUnit:
     """
     tokens = tokenize_c(source, filename)
     return _CParser(tokens, filename).parse_translation_unit()
+
+
+class CFileError(Exception):
+    """A named C file that cannot be read, lexed or parsed; the message
+    starts with the file's path."""
+
+
+def parse_files(
+    paths: Iterable[str | Path],
+) -> tuple[dict[str, str], list[TranslationUnit]]:
+    """Read and parse each named file once, in order: ``(sources, units)``.
+
+    Text is decoded as UTF-8 with undecodable bytes replaced, as qlint's
+    source loader reads it.  Raises :class:`CFileError` at the first
+    file that is unreadable or fails to lex or parse.
+    """
+    sources: dict[str, str] = {}
+    units: list[TranslationUnit] = []
+    for raw in paths:
+        name = str(raw)
+        if name in sources:
+            continue
+        try:
+            sources[name] = Path(name).read_text(encoding="utf-8", errors="replace")
+            units.append(parse_c(sources[name], name))
+        except OSError as exc:
+            raise CFileError(f"{name}: {exc.strerror or exc}") from exc
+        except (CLexError, CParseError) as exc:
+            raise CFileError(f"{name}: {exc}") from exc
+    return sources, units
 
 
 @dataclass

@@ -6,8 +6,11 @@
   conservatism.
 * :mod:`repro.constinfer.fdg` — the function dependence graph and its
   SCC decomposition (Definition 4).
-* :mod:`repro.constinfer.engine` — the monomorphic and polymorphic
-  engines and the three-way must / must-not / either classification.
+* :mod:`repro.constinfer.engine` — the monomorphic, polymorphic and
+  polymorphic-recursive engines and the three-way must / must-not /
+  either classification.  A run's ``solution.stats``
+  (:class:`~repro.qual.solver.SolverStats`) counts its constraint system.
+* :mod:`repro.constinfer.cache` — the content-addressed analysis cache.
 * :mod:`repro.constinfer.results` — Table 1 / Table 2 / Figure 6 counts
   and rendering.
 * :mod:`repro.constinfer.annotate` — writing inferred consts back into
@@ -25,7 +28,6 @@ from .engine import (
     run_polyrec,
 )
 from .fdg import FunctionDependenceGraph
-from .stats import ConstraintStats, collect_stats, format_stats_table
 from .results import (
     BenchmarkRow,
     analyze_program,

@@ -183,10 +183,10 @@ class _MemoryTier:
         return len(self._entries)
 
 
-#: What reading a truncated, corrupt or wrong-shape ``"constraints"``
-#: entry can raise: unpickling garbage, unpacking the wrong shape, or
-#: a mask outside the lattice.  :meth:`AnalysisCache._load_constraints`
-#: turns each into a miss.
+#: What reading a truncated, corrupt or wrong-shape entry can raise:
+#: unpickling garbage, unpacking the wrong shape, or a mask outside the
+#: lattice.  :meth:`AnalysisCache.get` and
+#: :meth:`AnalysisCache._load_constraints` turn each into a miss.
 _UNREADABLE_ENTRY = (
     OSError,
     EOFError,
@@ -276,7 +276,7 @@ class AnalysisCache:
         try:
             blob = path.read_bytes()
             value = pickle.loads(blob)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
+        except _UNREADABLE_ENTRY:
             self.stats.misses += 1
             return None
         self.stats.hits += 1

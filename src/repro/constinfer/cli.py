@@ -20,8 +20,7 @@ import argparse
 import sys
 import time
 
-from ..cfront.clexer import CLexError
-from ..cfront.cparser import CParseError, parse_c
+from ..cfront.cparser import CFileError, parse_files
 from ..cfront.sema import Program, SemaError
 from .annotate import annotate_source, format_report, suggestions
 from .engine import ConstInferenceError, run_mono, run_poly, run_polyrec
@@ -35,27 +34,15 @@ from .results import (
 )
 
 
-class _InputError(Exception):
-    """A lex or parse error, prefixed with the path of its file."""
-
-
-def _load(paths: list[str]) -> tuple[Program, float, int]:
-    sources = {}
-    total_lines = 0
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        sources[path] = text
-        total_lines += text.count("\n") + 1
+def _load(paths: list[str]) -> tuple[Program, float, int, dict[str, str]]:
+    """The program, the seconds spent reading and parsing it, its line
+    count and each file's text."""
     start = time.perf_counter()
-    units = []
-    for path, text in sources.items():
-        try:
-            units.append(parse_c(text, path))
-        except (CLexError, CParseError) as exc:
-            raise _InputError(f"{path}: {exc}") from exc
+    sources, units = parse_files(paths)
     program = Program.from_units(units)
-    return program, time.perf_counter() - start, total_lines
+    seconds = time.perf_counter() - start
+    lines = sum(sources[path].count("\n") + 1 for path in paths)
+    return program, seconds, lines, sources
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,8 +112,12 @@ def main(argv: list[str] | None = None) -> int:
         from ..whole import link_paths, run_whole_poly
         from .cache import AnalysisCache
 
+        try:
+            linked = link_paths(args.files)
+        except (CFileError, SemaError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         cache = None if args.no_cache else AnalysisCache(args.cache_dir)
-        linked = link_paths(args.files)
         try:
             result = run_whole_poly(linked, cache=cache)
         except ConstInferenceError as exc:
@@ -139,8 +130,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if linked.diagnostics else 0
 
     try:
-        program, compile_seconds, lines = _load(args.files)
-    except (_InputError, SemaError) as exc:
+        program, compile_seconds, lines, sources = _load(args.files)
+    except (CFileError, SemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -169,9 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     if len(args.files) != 1:
         print("error: annotate takes exactly one file", file=sys.stderr)
         return 2
-    with open(args.files[0], "r", encoding="utf-8") as handle:
-        source = handle.read()
-    print(annotate_source(source, run))
+    print(annotate_source(sources[args.files[0]], run))
     print(f"/* {len(suggestions(run))} positions may be const */", file=sys.stderr)
     return 0
 

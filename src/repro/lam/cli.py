@@ -18,9 +18,9 @@ import argparse
 import sys
 
 from ..qual.qualifiers import make_lattice
-from .check import check_source
 from .eval import Evaluator, StuckError
-from .infer import QualTypeError, QualifiedLanguage, const_language
+from .infer import QualTypeError, QualifiedLanguage, infer
+from .lexer import LexError
 from .parser import ParseError, parse
 
 
@@ -33,8 +33,8 @@ def _language(names: list[str]) -> QualifiedLanguage:
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.buffer.read().decode("utf-8", "replace")
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         return handle.read()
 
 
@@ -59,16 +59,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    source = _read(args.file)
+    try:
+        expr = parse(_read(args.file))
+    except OSError as exc:
+        print(f"error: {args.file}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except (LexError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.command == "derive":
         from .derivation import derive, verify
-        from .parser import parse as _parse
 
         try:
-            tree = derive(_parse(source), language, polymorphic=args.poly)
+            tree = derive(expr, language, polymorphic=args.poly)
             verify(tree, language.lattice)
-        except (ParseError, QualTypeError) as exc:
+        except QualTypeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(tree)
@@ -76,8 +82,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "check":
         try:
-            result = check_source(source, language, polymorphic=args.poly)
-        except (ParseError, QualTypeError) as exc:
+            result = infer(expr, language, polymorphic=args.poly)
+        except QualTypeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"type: {result.least_qtype()}")
@@ -90,11 +96,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {minimize_scheme(scheme, language.lattice)}")
         return 0
 
-    try:
-        expr = parse(source)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     evaluator = Evaluator(language.lattice)
     if args.command == "trace":
         try:

@@ -11,11 +11,14 @@ The subpackage is organised as the paper presents the system:
 * :mod:`repro.qual.subtype` — structural subtyping rules and their
   decomposition into atomic constraints (including the deliberately
   unsound covariant-ref rule for the ablation study).
-* :mod:`repro.qual.constraints` — the constraint language with origins.
+* :mod:`repro.qual.constraints` — subtype and atomic qualifier
+  constraints (``rho <= rho'``, ``Q <= Q'``) with origins.
 * :mod:`repro.qual.solver` — the linear-time atomic-constraint solver with
   least/greatest solutions and must / must-not / either classification.
 * :mod:`repro.qual.wellformed` — per-qualifier well-formedness conditions.
-* :mod:`repro.qual.poly` — polymorphic constrained qualifier types.
+* :mod:`repro.qual.poly` — polymorphic constrained qualifier types
+  (``forall kappa. rho \\ C``) and generalisation, which quantifies the
+  local variables of a constraint system (``exists kappa. C``).
 """
 
 from .lattice import (
@@ -90,7 +93,6 @@ from .qtypes import (
     strip,
 )
 from .constraints import (
-    ConstraintSet,
     Origin,
     QualConstraint,
     SubtypeConstraint,

@@ -13,7 +13,10 @@ Solving proceeds in two stages (Section 3.1): first the structural rules
 rewrite every subtype constraint into atomic constraints (see
 ``repro.qual.subtype``), then the atomic system — which is an *atomic
 subtyping* system over a fixed finite lattice — is solved in effectively
-linear time (see ``repro.qual.solver``).
+linear time (see ``repro.qual.solver``).  A system is a plain
+``list[QualConstraint]``; the solver's ``SolverStats`` counts its shape.
+The existential ``exists kappa. C`` of the polymorphic system lives in
+``repro.qual.poly`` (``QualScheme``, ``generalize``).
 
 Every constraint carries an :class:`Origin` describing where in the source
 program it arose, so that unsatisfiable systems produce actionable error
@@ -23,10 +26,9 @@ messages (e.g. "assignment to const l-value at foo.c:12").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .lattice import LatticeElement
-from .qtypes import QType, Qual, QualVar, format_qual, format_qtype
+from .qtypes import QType, Qual, format_qual, format_qtype
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -133,114 +135,3 @@ class QualConstraint:
     def is_ground(self) -> bool:
         """Both sides are lattice constants."""
         return isinstance(self.lhs, LatticeElement) and isinstance(self.rhs, LatticeElement)
-
-
-Constraint = SubtypeConstraint | QualConstraint
-
-
-class ConstraintSet:
-    """A mutable accumulator of constraints with existential bookkeeping.
-
-    The polymorphic system (Section 3.2) existentially quantifies the
-    qualifier variables that are purely local to a ``let`` body; since our
-    variables are globally fresh, quantification reduces to *recording*
-    which variables are local so that generalisation does not capture them
-    in an outer scope.  :meth:`quantify` records such variables.
-    """
-
-    def __init__(self, constraints: Iterable[Constraint] = ()) -> None:
-        self._subtype: list[SubtypeConstraint] = []
-        self._atomic: list[QualConstraint] = []
-        self._quantified: set[QualVar] = set()
-        for c in constraints:
-            self.add(c)
-
-    # ------------------------------------------------------------------
-    # Building
-    # ------------------------------------------------------------------
-    def add(self, constraint: Constraint) -> None:
-        if isinstance(constraint, SubtypeConstraint):
-            self._subtype.append(constraint)
-        elif isinstance(constraint, QualConstraint):
-            if not constraint.is_trivial:
-                self._atomic.append(constraint)
-        else:
-            raise TypeError(f"not a constraint: {constraint!r}")
-
-    def add_subtype(self, lhs: QType, rhs: QType, origin: Origin = UNKNOWN_ORIGIN) -> None:
-        """Record ``lhs <= rhs``."""
-        self.add(SubtypeConstraint(lhs, rhs, origin))
-
-    def add_equal(self, lhs: QType, rhs: QType, origin: Origin = UNKNOWN_ORIGIN) -> None:
-        """Record ``lhs = rhs`` as the pair of subtype constraints."""
-        self.add(SubtypeConstraint(lhs, rhs, origin))
-        self.add(SubtypeConstraint(rhs, lhs, origin))
-
-    def add_qual(self, lhs: Qual, rhs: Qual, origin: Origin = UNKNOWN_ORIGIN) -> None:
-        """Record the atomic constraint ``lhs <= rhs``."""
-        self.add(QualConstraint(lhs, rhs, origin))
-
-    def add_qual_equal(self, lhs: Qual, rhs: Qual, origin: Origin = UNKNOWN_ORIGIN) -> None:
-        """Record ``lhs = rhs`` as two atomic constraints."""
-        self.add(QualConstraint(lhs, rhs, origin))
-        self.add(QualConstraint(rhs, lhs, origin))
-
-    def merge(self, other: "ConstraintSet") -> None:
-        """Union another constraint set into this one (``C1 u C2``)."""
-        self._subtype.extend(other._subtype)
-        self._atomic.extend(other._atomic)
-        self._quantified |= other._quantified
-
-    def quantify(self, variables: Iterable[QualVar]) -> None:
-        """Existentially quantify variables (``exists kappa. C``)."""
-        self._quantified |= set(variables)
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    @property
-    def subtype_constraints(self) -> tuple[SubtypeConstraint, ...]:
-        return tuple(self._subtype)
-
-    @property
-    def atomic_constraints(self) -> tuple[QualConstraint, ...]:
-        return tuple(self._atomic)
-
-    @property
-    def quantified(self) -> frozenset[QualVar]:
-        return frozenset(self._quantified)
-
-    def variables(self) -> set[QualVar]:
-        """All qualifier variables mentioned by any constraint."""
-        out: set[QualVar] = set()
-        for sc in self._subtype:
-            for t in (sc.lhs, sc.rhs):
-                from .qtypes import qual_vars
-
-                out |= qual_vars(t)
-        for qc in self._atomic:
-            for q in (qc.lhs, qc.rhs):
-                if isinstance(q, QualVar):
-                    out.add(q)
-        return out
-
-    def __len__(self) -> int:
-        return len(self._subtype) + len(self._atomic)
-
-    def __iter__(self) -> Iterator[Constraint]:
-        yield from self._subtype
-        yield from self._atomic
-
-    def __str__(self) -> str:
-        lines = [str(c) for c in self]
-        if self._quantified:
-            names = ", ".join(sorted(v.name for v in self._quantified))
-            lines.insert(0, f"exists {names}.")
-        return "\n".join(lines) if lines else "<empty>"
-
-    def copy(self) -> "ConstraintSet":
-        out = ConstraintSet()
-        out._subtype = list(self._subtype)
-        out._atomic = list(self._atomic)
-        out._quantified = set(self._quantified)
-        return out

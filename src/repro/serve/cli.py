@@ -54,13 +54,6 @@ def main(argv: list[str] | None = None) -> int:
         help="on-disk analysis cache root (default: private temp dir)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes/threads per analysis (default 1)",
-    )
-    parser.add_argument(
         "--memory-entries",
         type=int,
         default=SERVE_MEMORY_ENTRIES,
@@ -77,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         session = Session(
             checks=checks,
             cache_dir=args.cache_dir,
-            jobs=args.jobs,
             memory_entries=args.memory_entries,
         )
     except Exception as exc:

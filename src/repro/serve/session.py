@@ -83,7 +83,6 @@ class Session:
         self,
         checks: tuple[str, ...] | None = None,
         cache_dir: str | None = None,
-        jobs: int = 1,
         memory_entries: int = SERVE_MEMORY_ENTRIES,
     ) -> None:
         self.check_names = (
@@ -91,7 +90,6 @@ class Session:
         )
         for name in self.check_names:
             check_by_name(name)  # fail fast on typos
-        self.jobs = jobs
         # Without a configured directory the store is still wanted (the
         # memory tier fronts it; warm restarts just start cold): a
         # private temp dir that lives exactly as long as the session.
@@ -208,7 +206,6 @@ class Session:
             paths,
             checks=tuple(checks) if checks else self.check_names,
             whole_program=whole,
-            jobs=self.jobs,
             sources=self.overlay,
             cache=self.cache,
             parse_unit=parse_unit,

@@ -53,7 +53,7 @@ from ..cfront.cast import (
     VarDecl,
     WhileStmt,
 )
-from ..cfront.cparser import parse_c
+from ..cfront.cparser import parse_c, parse_files
 from ..cfront.ctypes import CArray, CFunc, CType, format_ctype
 from ..cfront.sema import Program
 
@@ -495,7 +495,11 @@ def link_sources(sources: dict[str, str]) -> LinkedProgram:
 
 def link_paths(paths: list[str | Path]) -> LinkedProgram:
     """Discover, parse, and link every ``.c`` file reachable from
-    ``paths`` (explicit files plus recursive directory walks, sorted)."""
+    ``paths`` (explicit files plus recursive directory walks, sorted).
+
+    Raises :class:`~repro.cfront.cparser.CFileError`, naming the file,
+    when one is unreadable or fails to lex or parse.
+    """
     files: set[Path] = set()
     for raw in paths:
         path = Path(raw)
@@ -503,8 +507,5 @@ def link_paths(paths: list[str | Path]) -> LinkedProgram:
             files.update(path.rglob("*.c"))
         else:
             files.add(path)
-    sources = {
-        str(path): path.read_text(encoding="utf-8", errors="replace")
-        for path in sorted(files)
-    }
-    return link_sources(sources)
+    sources, units = parse_files(sorted(files))
+    return link_units(units, sources=sources)

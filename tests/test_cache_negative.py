@@ -79,6 +79,47 @@ class TestCorruptEntries:
         assert cache.get(key) is None
 
 
+#: Small pickles with one to four bytes corrupted.  Unpickling them
+#: raises ``OverflowError``, ``TypeError`` and ``IndexError``, not
+#: ``UnpicklingError``.
+CORRUPT_BLOBS = [
+    "80059516000000000000c95d94284b014b028c167894658c026f6b944b030fbd2e",
+    "80059516000000000000005d94284b014b028c017894658c026f6b94520387942e",
+    "80059516000000000000005d94284b014b0275017894658c026f6bd44b038794c8",
+]
+
+
+@pytest.mark.parametrize(
+    "blob", CORRUPT_BLOBS, ids=["overflow", "type-error", "index-error"]
+)
+class TestCorruptPickles:
+    def test_get_counts_a_miss(self, cache, blob):
+        key = cache.key("qlint-diagnostics", source=SOURCE)
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(bytes.fromhex(blob))
+        assert cache.get(key) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["per-file", "whole"])
+    def test_checker_recomputes_and_rewrites(self, cache, tmp_path, blob, whole):
+        from repro.checker.runner import check_paths, check_whole_program
+
+        check = check_whole_program if whole else check_paths
+        unit = tmp_path / "t.c"
+        unit.write_text(SOURCE)
+        cold = check([unit], cache=AnalysisCache(cache.root))
+        [entry] = entry_paths(cache)
+        entry.write_bytes(bytes.fromhex(blob))
+
+        rerun = check([unit], cache=cache)
+        assert cache.stats.misses == 1
+        assert rerun.diagnostics == cold.diagnostics
+        assert pickle.loads(entry.read_bytes())  # rewritten, readable again
+        warm = check([unit], cache=AnalysisCache(cache.root))
+        assert warm.cache_hits == 1 and warm.diagnostics == cold.diagnostics
+
+
 class TestStaleEntries:
     def test_format_version_bump_invalidates(self, cache, monkeypatch):
         cold = cache.cached_run(SOURCE, "t.c", "mono")

@@ -1,5 +1,7 @@
 """Tests for the two command-line drivers (quals-lam, quals-const)."""
 
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +92,32 @@ class TestLamCli:
         assert lam_main(["run", str(path)]) == 1
         assert "stuck" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "run", "trace", "derive"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.lam"
+        assert lam_main([command, str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {missing}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["check", "run", "trace", "derive"])
+    def test_undecodable_byte_is_a_lex_error(
+        self, command, source, tmp_path, monkeypatch, capsys
+    ):
+        text = b"let x = \xe9 in x ni\n"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text)))
+            name = "-"
+        else:
+            path = tmp_path / "latin1.lam"
+            path.write_bytes(text)
+            name = str(path)
+        assert lam_main([command, name]) == 1
+        assert capsys.readouterr().err == (
+            "error: unexpected character '\ufffd' at 1:9\n"
+        )
+
 
 class TestConstCli:
     def test_report(self, c_file, capsys):
@@ -147,7 +175,7 @@ class TestConstCli:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["report", "table", "annotate"])
+    @pytest.mark.parametrize("command", ["report", "table", "annotate", "whole"])
     def test_front_end_error_names_the_failing_file(
         self, command, c_file, tmp_path, capsys
     ):
@@ -164,6 +192,45 @@ class TestConstCli:
         bad = tmp_path / "bad.c"
         bad.write_text("int x = 1 @ 2;\n")
         assert const_main(["report", c_file, str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: unexpected character '@' at 1:11\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, shown",
+        [
+            ("report", "peek: param 0 (p) depth 1"),
+            ("table", "latin1.c"),
+            ("whole", "1 inferred, 1 possible"),
+        ],
+        ids=["report", "table", "whole"],
+    )
+    def test_undecodable_byte_is_replaced(self, command, shown, tmp_path, capsys):
+        path = tmp_path / "latin1.c"
+        path.write_bytes(b"int peek(int *p) { return *p; } /* caf\xe9 */\n")
+        assert const_main([command, str(path), "--no-cache"]) == 0
+        assert shown in capsys.readouterr().out
+
+    def test_annotate_keeps_the_text_it_analysed(self, tmp_path, capsys):
+        path = tmp_path / "latin1.c"
+        path.write_bytes(b"int peek(int *p) { return *p; } /* caf\xe9 */\n")
+        assert const_main(["annotate", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "int peek(const int *p) { return *p; } /* caf\ufffd */\n\n"
+        )
+
+    @pytest.mark.parametrize("command", ["report", "table", "annotate", "whole"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.c"
+        assert const_main([command, str(missing), "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {missing}: No such file or directory\n"
+
+    def test_whole_lex_error_names_the_failing_file(self, c_file, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int x = 1 @ 2;\n")
+        assert const_main(["whole", c_file, str(bad), "--no-cache"]) == 1
         assert capsys.readouterr().err == (
             f"error: {bad}: unexpected character '@' at 1:11\n"
         )

@@ -4,14 +4,8 @@ import pickle
 
 import pytest
 
-from repro.qual.constraints import (
-    ConstraintSet,
-    Origin,
-    QualConstraint,
-    SubtypeConstraint,
-)
-from repro.qual.qtypes import fresh_qual_var, q_int, q_ref
-from repro.qual.qualifiers import const_lattice
+from repro.qual.constraints import Origin, QualConstraint
+from repro.qual.qtypes import fresh_qual_var
 
 
 class TestOrigin:
@@ -74,76 +68,3 @@ class TestQualConstraint:
     def test_str_bottom_rendered(self, const_lat):
         text = str(QualConstraint(const_lat.bottom, fresh_qual_var()))
         assert "<none>" in text
-
-
-class TestConstraintSet:
-    def test_add_and_iterate(self, const_lat):
-        cs = ConstraintSet()
-        k1, k2 = fresh_qual_var(), fresh_qual_var()
-        cs.add_qual(k1, k2)
-        cs.add_subtype(q_int(k1), q_int(k2))
-        assert len(cs) == 2
-        assert len(list(cs)) == 2
-
-    def test_trivial_atomic_dropped(self):
-        cs = ConstraintSet()
-        k = fresh_qual_var()
-        cs.add_qual(k, k)
-        assert len(cs) == 0
-
-    def test_add_equal_emits_both_directions(self, const_lat):
-        cs = ConstraintSet()
-        a, b = q_int(fresh_qual_var()), q_int(fresh_qual_var())
-        cs.add_equal(a, b)
-        assert len(cs.subtype_constraints) == 2
-
-    def test_add_qual_equal(self):
-        cs = ConstraintSet()
-        k1, k2 = fresh_qual_var(), fresh_qual_var()
-        cs.add_qual_equal(k1, k2)
-        pairs = {(c.lhs, c.rhs) for c in cs.atomic_constraints}
-        assert pairs == {(k1, k2), (k2, k1)}
-
-    def test_merge(self):
-        a, b = ConstraintSet(), ConstraintSet()
-        k1, k2 = fresh_qual_var(), fresh_qual_var()
-        a.add_qual(k1, k2)
-        b.add_qual(k2, k1)
-        b.quantify([k2])
-        a.merge(b)
-        assert len(a) == 2
-        assert k2 in a.quantified
-
-    def test_variables(self):
-        cs = ConstraintSet()
-        k1, k2, k3 = (fresh_qual_var() for _ in range(3))
-        cs.add_qual(k1, k2)
-        cs.add_subtype(q_ref(k3, q_int(k1)), q_ref(k3, q_int(k1)))
-        assert cs.variables() == {k1, k2, k3}
-
-    def test_copy_is_independent(self):
-        cs = ConstraintSet()
-        k1, k2 = fresh_qual_var(), fresh_qual_var()
-        cs.add_qual(k1, k2)
-        clone = cs.copy()
-        clone.add_qual(k2, k1)
-        assert len(cs) == 1 and len(clone) == 2
-
-    def test_str_mentions_quantifier(self):
-        cs = ConstraintSet()
-        k = fresh_qual_var()
-        cs.add_qual(k, fresh_qual_var())
-        cs.quantify([k])
-        assert "exists" in str(cs)
-
-    def test_rejects_non_constraint(self):
-        with pytest.raises(TypeError):
-            ConstraintSet().add("not a constraint")  # type: ignore[arg-type]
-
-    def test_constructor_accepts_iterable(self):
-        k1, k2 = fresh_qual_var(), fresh_qual_var()
-        cs = ConstraintSet([QualConstraint(k1, k2)])
-        assert len(cs) == 1
-
-    def test_empty_str(self):
-        assert str(ConstraintSet()) == "<empty>"

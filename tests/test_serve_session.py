@@ -333,3 +333,17 @@ def test_explicit_cache_dir_survives_close(tmp_path):
     s.cache.put(s.cache.key("test", source="x"), "v")
     s.close()
     assert (tmp_path / "cache").exists()
+
+
+def test_serve_has_no_jobs_option(capsys):
+    """Every session analysis passes the resident cache, which keeps
+    ``check_paths`` and ``parse_units`` serial, so a worker count would
+    do nothing."""
+    from repro.serve.cli import main as serve_main
+
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main(["--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        Session(jobs=2)

@@ -1,8 +1,15 @@
-"""Tests for constraint-system statistics (the linearity evidence)."""
+"""Constraint-system shape as production reports it (the linearity
+evidence): each check reads the ``SolverStats`` of a run's solution or
+the run's own counts."""
+
+import pytest
 
 from repro.cfront.sema import Program
-from repro.constinfer.engine import run_mono, run_poly
-from repro.constinfer.stats import collect_stats, format_stats_table
+from repro.constinfer.engine import run_mono, run_poly, run_polyrec
+from repro.constinfer.results import analyze_program, format_solver_stats
+from repro.qual.solver import Classification
+from repro.whole.engine import run_whole_poly
+from repro.whole.linker import link_sources
 
 SOURCE = """
 int reader(const int *p) { return *p; }
@@ -10,50 +17,75 @@ void writer(int *q) { *q = 1; }
 int relay(int *r) { return reader(r); }
 """
 
+TWO_UNITS = {
+    "a.c": "int reader(const int *p) { return *p; }\nvoid writer(int *q) { *q = 1; }\n",
+    "b.c": "int reader(const int *p);\nint relay(int *r) { return reader(r); }\n",
+}
+
+
+def _assert_breakdown_adds_up(run):
+    stats = run.solution.stats
+    assert (
+        stats.edges_before + stats.constant_bounds + stats.ground_checks
+        == stats.constraints
+        == run.constraint_count
+    )
+
 
 def test_breakdown_adds_up():
-    run = run_mono(Program.from_source(SOURCE))
-    stats = collect_stats(run, lines=SOURCE.count("\n") + 1)
-    assert (
-        stats.var_var_edges
-        + stats.constant_lower_bounds
-        + stats.constant_upper_bounds
-        + stats.ground_constraints
-        == stats.constraint_count
-    )
-    assert stats.constraint_count == run.constraint_count
+    _assert_breakdown_adds_up(run_mono(Program.from_source(SOURCE)))
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda: run_poly(Program.from_source(SOURCE)),
+        lambda: run_polyrec(Program.from_source(SOURCE)),
+        lambda: run_whole_poly(link_sources(TWO_UNITS)).run,
+    ],
+    ids=["poly", "polyrec", "whole-poly"],
+)
+def test_breakdown_adds_up_on_every_engine(engine):
+    _assert_breakdown_adds_up(engine())
 
 
 def test_classification_tallies():
     run = run_mono(Program.from_source(SOURCE))
-    stats = collect_stats(run)
-    assert stats.positions == stats.must + stats.must_not + stats.either == 3
-    assert stats.must == 1  # reader's declared const
-    assert stats.must_not == 1  # writer's param
+    tallies = {verdict: 0 for verdict in Classification}
+    for _position, verdict in run.classified_positions():
+        tallies[verdict] += 1
+    must, must_not, either = (
+        tallies[Classification.MUST],
+        tallies[Classification.MUST_NOT],
+        tallies[Classification.EITHER],
+    )
+    assert run.total_positions() == must + must_not + either == 3
+    assert must == 1  # reader's declared const
+    assert must_not == run.must_not_count() == 1  # writer's param
+    assert either == run.either_count()
+    assert run.inferred_const_count() == must + either
 
 
 def test_const_bounds_counted():
-    run = run_mono(Program.from_source(SOURCE))
-    stats = collect_stats(run)
-    assert stats.constant_lower_bounds >= 1  # declared const
-    assert stats.constant_upper_bounds >= 1  # the write restriction
+    def bounds(source):
+        return run_mono(Program.from_source(source)).solution.stats.constant_bounds
+
+    plain = bounds("int reader(int *p) { return *p; }")
+    assert bounds("int reader(const int *p) { return *p; }") > plain  # declared const
+    assert bounds("int writer(int *p) { *p = 1; return *p; }") > plain  # the write
 
 
 def test_per_line_density():
     lines = SOURCE.count("\n") + 1
     run = run_mono(Program.from_source(SOURCE))
-    stats = collect_stats(run, lines=lines)
-    assert stats.constraints_per_line is not None
-    assert stats.constraints_per_line > 0
-    no_lines = collect_stats(run)
-    assert no_lines.constraints_per_line is None
+    assert run.solution.stats.constraints / lines > 0
 
 
 def test_poly_has_more_constraints_than_mono():
     program = Program.from_source(SOURCE)
-    mono = collect_stats(run_mono(program))
-    poly = collect_stats(run_poly(program))
-    assert poly.constraint_count >= mono.constraint_count
+    mono = run_mono(program).solution.stats
+    poly = run_poly(program).solution.stats
+    assert poly.constraints >= mono.constraints
 
 
 def test_density_roughly_constant_across_sizes():
@@ -67,14 +99,13 @@ def test_density_roughly_constant_across_sizes():
         source = generate_benchmark(f"d{scale}", 3, mix, 0)
         lines = source.count("\n") + 1
         run = run_mono(Program.from_source(source))
-        densities.append(collect_stats(run, lines=lines).constraints_per_line)
+        densities.append(run.solution.stats.constraints / lines)
     assert densities[1] <= densities[0] * 1.5
 
 
 def test_summary_and_table_render():
-    run = run_mono(Program.from_source(SOURCE))
-    stats = collect_stats(run, lines=5)
-    text = stats.summary()
-    assert "constraints over" in text and "must-not" in text
-    table = format_stats_table([("tiny", stats)])
-    assert "tiny" in table and "C/line" in table
+    row = analyze_program(Program.from_source(SOURCE), "tiny", lines=5)
+    text = row.mono_stats.summary()
+    assert f"{row.mono_stats.constraints} constraints" in text and "SCCs" in text
+    table = format_solver_stats([row])
+    assert "tiny" in table and "Cons" in table

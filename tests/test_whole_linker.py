@@ -3,7 +3,7 @@ block scoping, extern/tentative merging, and conflict diagnostics."""
 
 import pytest
 
-from repro.cfront.cparser import parse_c
+from repro.cfront.cparser import CFileError, parse_c
 from repro.whole.linker import (
     STATIC_SEPARATOR,
     link_paths,
@@ -189,6 +189,16 @@ def test_link_paths_discovers_and_sorts(tmp_path):
     linked = link_paths([tmp_path])
     assert [n.endswith("a.c") for n in linked.unit_names] == [True, False]
     assert linked.diagnostics == []
+
+
+def test_link_paths_names_the_file_it_cannot_read_or_parse(tmp_path):
+    (tmp_path / "a.c").write_text("int f(void) { return 1; }\n")
+    missing = tmp_path / "missing.c"
+    with pytest.raises(CFileError, match=f"^{missing}: No such file or directory$"):
+        link_paths([tmp_path, missing])
+    (tmp_path / "b.c").write_text("int x = 1 @ 2;\n")
+    with pytest.raises(CFileError, match=f"^{tmp_path / 'b.c'}: unexpected character"):
+        link_paths([tmp_path])
 
 
 def test_static_rename_cannot_collide_with_source_names():
